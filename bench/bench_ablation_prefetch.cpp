@@ -57,11 +57,11 @@ int main(int argc, char** argv) {
                  static_cast<std::size_t>(percent) / 100);
 
       cache::LruCache plain(size);
-      const auto plain_result = cache::simulate(plain, stream, size);
+      const auto plain_result = cache::simulate(plain, stream, {.warm_top_n = size});
 
       cache::PrefetchingCache prefetching(std::make_unique<cache::LruCache>(size),
                                           app_category, *per_hit);
-      const auto prefetch_result = cache::simulate(prefetching, stream, size);
+      const auto prefetch_result = cache::simulate(prefetching, stream, {.warm_top_n = size});
 
       table.row({std::string(to_string(kind)), std::to_string(percent) + "%",
                  report::percent(plain_result.hit_ratio()),

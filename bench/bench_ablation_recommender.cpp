@@ -44,7 +44,10 @@ int main(int argc, char** argv) {
   for (std::uint32_t a = 0; a < params.app_count; ++a) {
     dataset.app_category[a] = layout.cluster_of(a);
   }
-  dataset.user_sequences = workload.user_sequences();
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    auto& sequence = dataset.user_sequences.emplace_back();
+    for (const events::Event event : workload.sequence_view(user)) sequence.push_back(event.app);
+  }
 
   std::vector<std::uint32_t> held_out;
   const recommend::Dataset truncated = recommend::leave_last_out(dataset, held_out);

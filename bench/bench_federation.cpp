@@ -64,12 +64,7 @@ struct GatewayRun {
   federation_options.day = kEndOfHistory;
   const fed::Federation federation = fed::build_federation(federation_options);
 
-  fed::GatewayOptions gateway_options;
-  // Sequential scatter: per-request fan-out workers only pay off when an
-  // upstream exchange costs milliseconds (sockets); against in-process
-  // shards the spawn cost alone would dwarf the calls being parallelized.
-  gateway_options.fanout_threads = 0;
-  fed::FederationGateway gateway(gateway_options);
+  fed::FederationGateway gateway;
   federation.attach(gateway);
 
   load::ScheduleOptions schedule_options;

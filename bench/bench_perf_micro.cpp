@@ -125,7 +125,7 @@ void BM_JsonRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_JsonRoundTrip);
 
 void BM_HttpRoundTrip(benchmark::State& state) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "pong");
   });
   net::HttpClient client("127.0.0.1", server.port());
@@ -158,7 +158,7 @@ BENCHMARK(BM_HttpRoundTripInstrumented);
 // carrying the fault seam in production builds (expected ~0: one mutex-
 // guarded map lookup + a pure hash per request).
 void BM_HttpRoundTripFaultSeam(benchmark::State& state) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "pong");
   });
   chaos::FaultPlan plan;

@@ -1,13 +1,14 @@
 // Online query engine acceptance bench (ISSUE 6).
 //
-// Runs each /api/query aggregate kind through the query engine twice under a
-// user-selective filter: once with the planner free to choose CSR index
-// scans (the production configuration) and once with index scans disabled so
-// every clause falls back to a full column scan (the naive baseline). The
-// planned path must beat the naive path by >= 2x on the seeded store — that
-// is the index-filter payoff the planner exists for. Latency percentiles per
-// kind and the derived speedups land in results/BENCH_query.json (and the
-// metrics registry via --metrics-out, like bench_serving).
+// Runs each /api/v1/query aggregate kind through the query engine twice
+// under a user-selective filter: once with the planner free to choose CSR
+// index scans (the production configuration) and once with index scans
+// disabled so every clause falls back to a full column scan (the naive
+// baseline). The planned path must beat the naive path by >= 2x on the
+// seeded store — that is the index-filter payoff the planner exists for.
+// Latency percentiles per kind and the derived speedups land in
+// results/BENCH_query.json (and the metrics registry via --metrics-out,
+// like bench_serving).
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -62,7 +63,7 @@ struct KindReport {
 int main(int argc, char** argv) {
   benchx::BenchCli cli("bench_query",
                        "planned (index-scan) vs naive full-scan execution of the four "
-                       "/api/query aggregate kinds under a user-selective filter");
+                       "/api/v1/query aggregate kinds under a user-selective filter");
   auto reps = cli.raw().u64("reps", 40, "timed runs per kind and configuration");
   auto out_path =
       cli.raw().str("out", "results/BENCH_query.json", "report destination");

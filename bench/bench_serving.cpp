@@ -1,11 +1,10 @@
-// Serving-architecture comparison (ISSUE 5 acceptance bench).
+// Response-cache comparison on the worker-pool server.
 //
 // Drives an identical closed-loop socket schedule (8 persistent clients,
-// cached endpoints: /api/meta + /api/apps pages) against the same generated
-// store served two ways:
-//   baseline  — ServerMode::kThreadPerConnection, response cache off (the
-//               pre-PR-5 architecture);
-//   candidate — ServerMode::kWorkerPool + per-day response cache.
+// cached endpoints: /api/v1/meta + /api/v1/apps pages) against the same
+// generated store served two ways:
+//   baseline  — worker-pool server, response cache off;
+//   candidate — worker-pool server + per-day response cache.
 // Prints both runs and the throughput speedup, and records the comparison in
 // results/BENCH_serving.json (see docs/serving.md for how to read it).
 #include <cmath>
@@ -25,15 +24,13 @@ using namespace appstore;
 constexpr double kUnlimited = 1e12;  // effectively disable rate limiting
 
 [[nodiscard]] load::RunReport run_against(const market::AppStore& store,
-                                          const load::Schedule& schedule,
-                                          net::ServerMode mode, bool cache,
+                                          const load::Schedule& schedule, bool cache,
                                           obs::Registry* metrics,
                                           std::uint64_t* cache_hits,
                                           std::uint64_t* cache_misses) {
   crawlersim::ServicePolicy policy;
   policy.rate_per_second = kUnlimited;
   policy.burst = kUnlimited;
-  policy.server_mode = mode;
   policy.cache_responses = cache;
   crawlersim::AppstoreService service(store, policy);
   service.set_day(60);
@@ -67,8 +64,8 @@ void add_row(report::Table& table, const char* name, const load::RunReport& repo
 
 int main(int argc, char** argv) {
   benchx::BenchCli cli("bench_serving",
-                       "worker-pool + response-cache server vs thread-per-connection "
-                       "baseline under identical closed-loop load",
+                       "worker-pool server with vs without the per-day response "
+                       "cache under identical closed-loop load",
                        // Large app scale on purpose: the directory scan must
                        // dominate the uncached request so the comparison
                        // measures serving architecture, not socket syscalls.
@@ -111,12 +108,9 @@ int main(int argc, char** argv) {
 
   load::ServingComparison comparison;
   comparison.baseline =
-      run_against(store, schedule, net::ServerMode::kThreadPerConnection,
-                  /*cache=*/false, nullptr, nullptr, nullptr);
-  comparison.worker_pool =
-      run_against(store, schedule, net::ServerMode::kWorkerPool,
-                  /*cache=*/true, &cli.metrics(), &comparison.cache_hits,
-                  &comparison.cache_misses);
+      run_against(store, schedule, /*cache=*/false, nullptr, nullptr, nullptr);
+  comparison.worker_pool = run_against(store, schedule, /*cache=*/true, &cli.metrics(),
+                                       &comparison.cache_hits, &comparison.cache_misses);
   comparison.speedup = comparison.baseline.throughput_rps > 0.0
                            ? comparison.worker_pool.throughput_rps /
                                  comparison.baseline.throughput_rps
@@ -127,7 +121,7 @@ int main(int argc, char** argv) {
 
   report::Table table({"server", "rps", "meta p50us", "meta p99us", "apps p50us",
                        "apps p99us", "shed+err"});
-  add_row(table, "thread-per-connection", comparison.baseline);
+  add_row(table, "worker-pool, no cache", comparison.baseline);
   add_row(table, "worker-pool + cache", comparison.worker_pool);
   benchx::print_table(table);
   std::printf("speedup: %.2fx (cache: %llu hits / %llu misses)\n", comparison.speedup,

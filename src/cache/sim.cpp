@@ -72,16 +72,4 @@ std::vector<SweepPoint> sweep_cache_sizes(PolicyKind kind, std::span<const std::
   });
 }
 
-std::vector<SweepPoint> sweep_cache_sizes(PolicyKind kind, std::span<const std::size_t> sizes,
-                                          std::span<const models::Request> requests,
-                                          std::span<const std::uint32_t> app_category,
-                                          std::uint64_t seed, obs::Registry* metrics,
-                                          std::size_t threads) {
-  std::vector<std::uint32_t> apps;
-  apps.reserve(requests.size());
-  for (const auto& request : requests) apps.push_back(request.app);
-  return sweep_cache_sizes(kind, sizes, std::span<const std::uint32_t>(apps), app_category,
-                           seed, metrics, threads);
-}
-
 }  // namespace appstore::cache

@@ -51,13 +51,6 @@ struct SimOptions {
                                  std::span<const models::Request> requests,
                                  const SimOptions& options);
 
-/// Deprecated positional form; forwards to the SimOptions overload.
-[[nodiscard]] inline SimResult simulate(CachePolicy& policy,
-                                        std::span<const models::Request> requests,
-                                        std::size_t warm_top_n = 0) {
-  return simulate(policy, requests, SimOptions{.warm_top_n = warm_top_n});
-}
-
 /// Hit ratio of one policy kind at several cache sizes over the same stream.
 struct SweepPoint {
   std::size_t cache_size = 0;
@@ -82,11 +75,5 @@ struct SweepPoint {
     obs::Registry* metrics = nullptr, std::size_t threads = 0) {
   return sweep_cache_sizes(kind, sizes, requests.app(), app_category, seed, metrics, threads);
 }
-
-/// Deprecated AoS form; copies the app column out of `requests` once.
-[[nodiscard]] std::vector<SweepPoint> sweep_cache_sizes(
-    PolicyKind kind, std::span<const std::size_t> sizes,
-    std::span<const models::Request> requests, std::span<const std::uint32_t> app_category = {},
-    std::uint64_t seed = 0, obs::Registry* metrics = nullptr, std::size_t threads = 0);
 
 }  // namespace appstore::cache

@@ -4,7 +4,7 @@
 // a crawl box can die mid-write (truncation) and disks/transfer can flip
 // bytes. These helpers apply exactly those corruptions, deterministically
 // from a util::Rng, so a fuzz loop over seeds is reproducible: the
-// robustness suite replays 1000 seeded corruptions over valid "AEVL"/"AOBS"
+// robustness suite replays 1000 seeded corruptions over valid "ALSG"/"AOBS"
 // files and asserts every load ends in a typed error or a clean success —
 // never a crash, hang, or garbage value (verified under ASan).
 #pragma once

@@ -43,7 +43,7 @@ void save_database(const CrawlDatabase& database, const std::filesystem::path& d
 /// events::binary::LoadError for structural defects in observations.bin —
 /// on missing required files or malformed content. `limits` bounds the
 /// binary app/day columns with the same typed errors (kAppRange/kDayRange)
-/// the AEVL and ALSG loaders report; an observation whose app id is absent
+/// the ALSG loader reports; an observation whose app id is absent
 /// from apps.csv is also kAppRange.
 [[nodiscard]] CrawlDatabase load_database(const std::filesystem::path& directory,
                                           const events::LoadLimits& limits = {});

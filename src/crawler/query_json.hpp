@@ -26,7 +26,7 @@
 
 namespace appstore::crawlersim {
 
-/// Parses a /api/query request (GET query-string or POST JSON body) into a
+/// Parses a /api/v1/query request (GET query-string or POST JSON body) into a
 /// QuerySpec. Throws query::QueryError("bad_query" / "bad_filter") on any
 /// malformed input.
 [[nodiscard]] query::QuerySpec parse_query_request(const net::HttpRequest& request);

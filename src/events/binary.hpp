@@ -1,7 +1,7 @@
 // Low-level versioned-header + raw-column binary file helpers.
 //
-// Shared by the EventLog binary format (events/io.hpp) and the crawl
-// database fast path (crawler/db_io.hpp). A file is:
+// Shared by the live store's segmented format (events/live_io.hpp) and the
+// crawl database fast path (crawler/db_io.hpp). A file is:
 //
 //   4-byte magic | u32 endian tag (0x01020304) | u32 version | u32 flags |
 //   u64 row count | raw columns, each `count * sizeof(T)` bytes
@@ -195,7 +195,7 @@ inline void check_user_bound(std::span<const std::uint32_t> users, std::uint64_t
 }
 
 /// Like check_user_bound, but for the app column: every id must be below
-/// `app_bound` (exclusive). Used by the AEVL/ALSG/AOBS loaders when the
+/// `app_bound` (exclusive). Used by the ALSG and AOBS loaders when the
 /// caller knows the app universe (a store's app count).
 inline void check_app_bound(std::span<const std::uint32_t> apps, std::uint64_t app_bound,
                             const char* what) {

@@ -1,31 +1,11 @@
-// EventLog persistence: a versioned raw-column binary format (the fast
-// path — one fread per column) and a CSV format (the interchange path).
-//
-// Binary layout (see events/binary.hpp for the header):
-//
-//   magic "AEVL" | endian tag | version 1 | flags = column mask |
-//   u64 count | user u32[count] | app u32[count] | [day i32[count]] |
-//   [ordinal u32[count]] | [rating u8[count]]
-//
-// CSV layout: header row "user,app[,day][,ordinal][,rating]" — optional
-// columns appear only when the log carries them, and the loader rebuilds
-// the column mask from the header row.
-//
-// Neither format persists the CSR index; it is a pure function of the
-// columns and is rebuilt on demand (build_index).
-//
-// Robustness: save_binary stages output in "<path>.tmp" and renames on
-// success (util::AtomicFile), so a crash mid-write never tears the file
-// under the final name. load_binary validates magic, endianness, version,
-// flag bits, and the exact payload length before allocating, and reports
-// every defect as a typed binary::LoadError. IoOptions carries an optional
-// chaos::FaultInjector so the robustness harness can simulate crashes at
-// the write seam.
+// Knobs shared by the event-column persistence formats: ALSG
+// (events/live_io.hpp) and the crawl database's AOBS fast path
+// (crawler/db_io.hpp). Both stage output through util::AtomicFile and
+// validate every header field and the exact payload length before
+// allocating, reporting each defect as a typed binary::LoadError.
 #pragma once
 
-#include <filesystem>
-
-#include "events/event_log.hpp"
+#include <cstdint>
 
 namespace appstore::chaos {
 class FaultInjector;
@@ -53,8 +33,8 @@ struct LoadLimits {
   std::uint64_t user_bound = std::uint64_t{1} << 32;
 
   /// Exclusive upper bound on app-column values, same rationale as
-  /// user_bound. Enforced uniformly by the AEVL, ALSG, and AOBS loaders
-  /// (typed LoadError{kAppRange}). Default: no bound.
+  /// user_bound. Enforced uniformly by the ALSG and AOBS loaders (typed
+  /// LoadError{kAppRange}). Default: no bound.
   std::uint64_t app_bound = std::uint64_t{1} << 32;
 
   /// Magnitude window on day-column values: days outside
@@ -63,25 +43,5 @@ struct LoadLimits {
   /// origin — so the bound is symmetric. Default: no bound (full int32).
   std::int64_t day_bound = std::int64_t{1} << 31;
 };
-
-/// Writes `log` to `path` in the binary format via write-temp-then-rename.
-/// Throws std::runtime_error on I/O failure, chaos::InjectedFault on an
-/// injected torn write (the previous file at `path`, if any, is untouched).
-void save_binary(const EventLog& log, const std::filesystem::path& path,
-                 const IoOptions& options = {});
-
-/// Reads a log previously written by save_binary. Throws binary::LoadError
-/// (a std::runtime_error) on a missing file or malformed/foreign-endian
-/// content, or a user id at or above `limits.user_bound`; never crashes or
-/// silently truncates on corrupted input.
-[[nodiscard]] EventLog load_binary(const std::filesystem::path& path,
-                                   const LoadLimits& limits = {});
-
-/// Writes `log` to `path` as CSV (also write-temp-then-rename).
-void save_csv(const EventLog& log, const std::filesystem::path& path,
-              const IoOptions& options = {});
-
-/// Reads a log previously written by save_csv.
-[[nodiscard]] EventLog load_csv(const std::filesystem::path& path);
 
 }  // namespace appstore::events

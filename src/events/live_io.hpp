@@ -12,7 +12,7 @@
 // live log the ordinal IS the row index, so the loader reconstructs it —
 // 4 bytes/row smaller and one less thing corruption can tear.
 //
-// Robustness contract (same as events/io.hpp, fuzzed by the chaos suite):
+// Robustness contract (events/binary.hpp, fuzzed by the chaos suite):
 // the loader validates the header, the segment geometry (power-of-two
 // segment_rows, each record's first_row/rows against the header), the exact
 // payload size before any allocation, and every user id against the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -71,16 +70,9 @@ using crawlersim::JsonObject;
   return out;
 }
 
-[[nodiscard]] const char* to_label(std::uint8_t outcome) noexcept {
-  switch (outcome) {
-    case 0: return "ok";
-    case 1: return "http_4xx";
-    case 2: return "http_5xx";
-    case 3: return "transport";
-    case 4: return "breaker_open";
-    default: return "shed";
-  }
-}
+/// gateway_requests_total labels, indexed by FederationGateway::Outcome.
+constexpr std::string_view kOutcomeLabels[6] = {"ok",        "http_4xx",     "http_5xx",
+                                                "transport", "breaker_open", "shed"};
 
 [[nodiscard]] net::UpstreamTable::Options table_options(const GatewayOptions& options) {
   net::UpstreamTable::Options table;
@@ -98,6 +90,13 @@ FederationGateway::FederationGateway(GatewayOptions options)
   registry_.describe("gateway_requests_total", "Gateway responses by outcome");
   registry_.describe("gateway_upstream_calls_total", "Attempts reaching a shard");
   registry_.describe("gateway_hedges_total", "Hedge attempts: issued, won, cancelled");
+  for (std::size_t i = 0; i < std::size(kOutcomeLabels); ++i) {
+    outcome_requests_[i] = &registry_.counter("gateway_requests_total", kOutcomeLabels[i]);
+  }
+  upstream_calls_ = &registry_.counter("gateway_upstream_calls_total");
+  hedges_issued_ = &registry_.counter("gateway_hedges_total", "issued");
+  hedges_won_ = &registry_.counter("gateway_hedges_total", "won");
+  hedges_cancelled_ = &registry_.counter("gateway_hedges_total", "cancelled");
 }
 
 void FederationGateway::add_upstream(const std::string& id, Call call) {
@@ -155,8 +154,7 @@ void FederationGateway::count_outcome(Outcome outcome) {
       case Outcome::kShed: ++stats_.shed; break;
     }
   }
-  registry_.counter("gateway_requests_total", to_label(static_cast<std::uint8_t>(outcome)))
-      .inc();
+  outcome_requests_[static_cast<std::size_t>(outcome)]->inc();
 }
 
 net::HttpResponse FederationGateway::respond(const net::HttpRequest& request) {
@@ -341,11 +339,11 @@ FederationGateway::CallResult FederationGateway::call_upstream(
     }
   }
   if (hedged) {
-    registry_.counter("gateway_hedges_total", "issued").inc();
-    registry_.counter("gateway_hedges_total", "cancelled").inc();
-    if (hedge_won) registry_.counter("gateway_hedges_total", "won").inc();
+    hedges_issued_->inc();
+    hedges_cancelled_->inc();
+    if (hedge_won) hedges_won_->inc();
   }
-  registry_.counter("gateway_upstream_calls_total").inc(hedged ? 2 : 1);
+  upstream_calls_->inc(hedged ? 2 : 1);
 
   result.status = winner->transport ? CallStatus::kTransport : CallStatus::kOk;
   result.response = std::move(winner->response);
@@ -355,29 +353,11 @@ FederationGateway::CallResult FederationGateway::call_upstream(
 
 std::vector<FederationGateway::CallResult> FederationGateway::scatter(
     const net::HttpRequest& request) {
-  std::vector<CallResult> results(upstreams_.size());
-  const std::size_t workers =
-      options_.fanout_threads == 0
-          ? 1
-          : std::min(options_.fanout_threads, upstreams_.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < upstreams_.size(); ++i) {
-      results[i] = call_upstream(*upstreams_[i], request);
-    }
-    return results;
+  std::vector<CallResult> results;
+  results.reserve(upstreams_.size());
+  for (const auto& upstream : upstreams_) {
+    results.push_back(call_upstream(*upstream, request));
   }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < upstreams_.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
-        results[i] = call_upstream(*upstreams_[i], request);
-      }
-    });
-  }
-  for (auto& worker : pool) worker.join();
   return results;
 }
 

@@ -86,12 +86,6 @@ struct GatewayOptions {
   double hedge_quantile = 0.95;
   std::size_t hedge_min_samples = 64;
 
-  /// Fan-out workers for scatter routes; 0 = sequential (deterministic
-  /// upstream call order — what the chaos tests use). Workers are spawned
-  /// per request, which only pays off when one upstream exchange costs
-  /// milliseconds (sockets); against in-process shards sequential wins.
-  std::size_t fanout_threads = 0;
-
   /// Per-shard page-prefix cap for the comments merge (the gateway refuses
   /// — 502 "comment_scan_overflow" — rather than scanning unboundedly).
   std::size_t comment_scan_pages = 64;
@@ -195,8 +189,8 @@ class FederationGateway {
   [[nodiscard]] std::optional<std::chrono::nanoseconds> hedge_delay(Upstream& upstream);
   void record_latency(Upstream& upstream, std::chrono::nanoseconds latency);
 
-  /// Scatter `request` to every upstream (fan-out pool when
-  /// fanout_threads > 0), in ring-membership order.
+  /// Scatter `request` to every upstream, sequentially in ring-membership
+  /// order (deterministic upstream call order — what the chaos tests use).
   [[nodiscard]] std::vector<CallResult> scatter(const net::HttpRequest& request);
 
   /// Outcome classification of one gateway response — tagged explicitly at
@@ -241,6 +235,14 @@ class FederationGateway {
 
   GatewayOptions options_;
   obs::Registry registry_;
+
+  /// Lock-free handles into registry_, resolved at construction.
+  obs::Counter* outcome_requests_[6] = {};  ///< gateway_requests_total, index = Outcome
+  obs::Counter* upstream_calls_ = nullptr;
+  obs::Counter* hedges_issued_ = nullptr;
+  obs::Counter* hedges_won_ = nullptr;
+  obs::Counter* hedges_cancelled_ = nullptr;
+
   HashRing ring_;
   net::UpstreamTable breakers_;
 

@@ -52,7 +52,7 @@ Json to_json(const RunReport& report) {
 }
 
 Json to_json(const ServingComparison& comparison) {
-  return json_object({{"baseline_thread_per_connection", to_json(comparison.baseline)},
+  return json_object({{"baseline_uncached", to_json(comparison.baseline)},
                       {"worker_pool_with_cache", to_json(comparison.worker_pool)},
                       {"speedup", comparison.speedup},
                       {"response_cache_hits", comparison.cache_hits},

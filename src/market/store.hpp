@@ -164,11 +164,6 @@ class AppStore {
     return download_live_->frontier() + comment_live_->frontier();
   }
 
-  /// Backward-compatible no-op: the live store indexes as it ingests. Kept
-  /// so batch-era call sites (load_store, generators, tests) stay valid.
-  void build_stream_index(const events::BuildOptions& options = {});
-  [[nodiscard]] bool stream_index_built() const noexcept { return true; }
-
   /// Chronological per-user views over the current frontier.
   [[nodiscard]] events::LiveStreamView download_stream(UserId user) const {
     return download_live_->snapshot().stream(user.value);

@@ -10,17 +10,6 @@
 
 namespace appstore::models {
 
-std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng) {
-  return generate_stream(model, rng, StreamOptions{});
-}
-
-std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                     std::uint64_t max_requests) {
-  StreamOptions options;
-  options.max_requests = max_requests;
-  return generate_stream(model, rng, options);
-}
-
 std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
                                      const StreamOptions& options) {
   const events::EventLog log = generate_stream_log(model, rng, options);

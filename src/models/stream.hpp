@@ -86,12 +86,6 @@ struct StreamSlice {
 /// Generates the full interleaved stream for `model`. The number of requests
 /// is the sum of per-user realized download counts (≈ U * d).
 [[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                                   const StreamOptions& options);
-
-[[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng);
-
-/// Deprecated positional form; forwards to the StreamOptions overload.
-[[nodiscard]] std::vector<Request> generate_stream(const DownloadModel& model, util::Rng& rng,
-                                                   std::uint64_t max_requests);
+                                                   const StreamOptions& options = {});
 
 }  // namespace appstore::models

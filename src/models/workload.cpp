@@ -11,22 +11,4 @@ std::vector<double> Workload::by_rank() const {
   return sorted;
 }
 
-std::vector<std::vector<std::uint32_t>> Workload::user_sequences() const {
-  std::vector<std::vector<std::uint32_t>> out(sequences.indexed()
-                                                  ? sequences.user_count()
-                                                  : 0);
-  if (!sequences.indexed()) {
-    // Un-indexed log (or none recorded): size by the largest user id seen.
-    std::uint32_t users = 0;
-    for (const auto user : sequences.user()) users = std::max(users, user + 1);
-    out.resize(users);
-  }
-  const auto users = sequences.user();
-  const auto apps = sequences.app();
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    out[users[i]].push_back(apps[i]);
-  }
-  return out;
-}
-
 }  // namespace appstore::models

@@ -44,10 +44,6 @@ struct Workload {
   [[nodiscard]] events::UserStreamView sequence_view(std::uint32_t user) const {
     return sequences.stream(user);
   }
-
-  /// Deprecated: materializes per-user app vectors from `sequences` —
-  /// O(total downloads) copies per call. Prefer sequence_view().
-  [[nodiscard]] std::vector<std::vector<std::uint32_t>> user_sequences() const;
 };
 
 }  // namespace appstore::models

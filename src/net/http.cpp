@@ -87,6 +87,10 @@ HttpResponse HttpResponse::json(int status, std::string body) {
 
 namespace {
 
+/// Parses a header block; a repeated header keeps its first value. Framing
+/// fails closed: any Transfer-Encoding (chunked bodies are not implemented,
+/// so a chunked body would be read as the next pipelined message) and a
+/// repeated Content-Length with a different value both reject the head.
 bool parse_headers(std::string_view block, Headers& headers) {
   while (!block.empty()) {
     const std::size_t eol = block.find("\r\n");
@@ -95,8 +99,13 @@ bool parse_headers(std::string_view block, Headers& headers) {
     if (line.empty()) continue;
     const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos) return false;
-    headers.emplace(std::string(util::trim(line.substr(0, colon))),
-                    std::string(util::trim(line.substr(colon + 1))));
+    const std::string_view name = util::trim(line.substr(0, colon));
+    const std::string_view value = util::trim(line.substr(colon + 1));
+    if (util::equals_ci(name, "Transfer-Encoding")) return false;
+    const auto [it, inserted] = headers.try_emplace(std::string(name), value);
+    if (!inserted && util::equals_ci(name, "Content-Length") && it->second != value) {
+      return false;
+    }
   }
   return true;
 }

@@ -11,7 +11,7 @@
 #include "chaos/clock.hpp"
 #include "chaos/fault.hpp"
 #include "chaos/file_faults.hpp"
-#include "events/io.hpp"
+#include "events/live_io.hpp"
 #include "net/breaker.hpp"
 #include "net/server.hpp"
 #include "obs/registry.hpp"
@@ -214,7 +214,7 @@ TEST(CircuitBreaker, ZeroThresholdDisables) {
 // ---- client/server seams over real sockets ---------------------------------------
 
 TEST(ClientSeam, SyntheticHttp500NeverReachesTheServer) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "real");
   });
   FaultPlan plan;
@@ -236,7 +236,7 @@ TEST(ClientSeam, SyntheticHttp500NeverReachesTheServer) {
 }
 
 TEST(ClientSeam, ConnectRefusedThrowsThenRecovers) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "up");
   });
   FaultPlan plan;
@@ -251,7 +251,7 @@ TEST(ClientSeam, ConnectRefusedThrowsThenRecovers) {
 }
 
 TEST(ClientSeam, InjectedResetBypassesPersistentRetry) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "up");
   });
   FaultPlan plan;
@@ -270,7 +270,7 @@ TEST(ClientSeam, InjectedResetBypassesPersistentRetry) {
 }
 
 TEST(ClientSeam, InjectedLatencyAdvancesVirtualTimeOnly) {
-  net::HttpServer server(0, [](const net::HttpRequest&) {
+  net::HttpServer server({}, [](const net::HttpRequest&) {
     return net::HttpResponse::text(200, "slow");
   });
   VirtualClock clock;
@@ -326,37 +326,42 @@ TEST(ServerSeam, ConnectionResetDropsTheExchange) {
 
 // ---- torn writes stay off the final path -----------------------------------------
 
-TEST(TornWrite, SaveBinaryLeavesOriginalIntact) {
+TEST(TornWrite, SaveSegmentedLeavesOriginalIntact) {
   const std::filesystem::path dir(::testing::TempDir());
-  const auto path = dir / "chaos_torn_events.bin";
+  const auto path = dir / "chaos_torn_events.alsg";
   std::filesystem::remove(path);
 
-  events::EventLog original(events::Columns::kDay);
-  original.append(1, 10, 3, 0, 0);
-  original.append(2, 20, 4, 0, 0);
-  events::save_binary(original, path);
+  events::LiveOptions options;
+  options.max_rows = 1u << 10;
+  options.segment_rows = 1u << 6;
+  options.max_users = 256;
+  events::LiveEventLog original(events::Columns::kDay, options);
+  original.append(1, 10, 3);
+  original.append(2, 20, 4);
+  events::save_segmented(original.snapshot(), path);
 
-  events::EventLog replacement(events::Columns::kDay);
-  replacement.append(9, 90, 7, 0, 0);
+  events::LiveEventLog replacement(events::Columns::kDay, options);
+  replacement.append(9, 90, 7);
 
   FaultPlan plan;
   plan.max_faults_per_key = 1;
   plan.rules.push_back({FaultSite::kFileWrite, FaultKind::kTornWrite, 1.0, {}});
   FaultInjector injector(plan);
-  EXPECT_THROW(events::save_binary(replacement, path, {.faults = &injector}),
+  EXPECT_THROW(events::save_segmented(replacement.snapshot(), path, {.faults = &injector}),
                InjectedFault);
 
   // The final path still holds the previous complete version, and the
   // staging file was cleaned up on unwind.
   EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
-  const events::EventLog loaded = events::load_binary(path);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.user()[0], 1u);
-  EXPECT_EQ(loaded.app()[1], 20u);
+  const auto loaded = events::load_segmented(path, options);
+  const events::FrontierSnapshot rows = loaded->snapshot();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows.user()[0], 1u);
+  EXPECT_EQ(rows.app()[1], 20u);
 
   // The injector's cap is spent: the next save goes through.
-  events::save_binary(replacement, path, {.faults = &injector});
-  EXPECT_EQ(events::load_binary(path).size(), 1u);
+  events::save_segmented(replacement.snapshot(), path, {.faults = &injector});
+  EXPECT_EQ(events::load_segmented(path, options)->frontier(), 1u);
 }
 
 TEST(FileFaults, CorruptFileChangesBytes) {

@@ -111,8 +111,8 @@ TEST_F(DbIoFixture, ObservationForUnknownAppThrows) {
 }
 
 TEST_F(DbIoFixture, BinaryObservationLoadEnforcesAppAndDayBounds) {
-  // Satellite: AOBS applies the same LoadLimits windows as AEVL/ALSG, each
-  // defect a typed error. The fixture's apps are 1 and 2, days 0 and 5.
+  // AOBS applies the same LoadLimits windows as ALSG, each defect a typed
+  // error. The fixture's apps are 1 and 2, days 0 and 5.
   save_database(build(), directory_);
 
   events::LoadLimits limits;

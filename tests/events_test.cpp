@@ -1,20 +1,14 @@
 // Tests for the columnar event-log spine (src/events): SoA storage,
 // optional-column masks, the CSR per-user index (chronological invariant,
-// thread-count determinism), persistence (binary <-> CSV identity), and
-// agreement between zero-copy CSR views and the legacy materializing
-// per-user streams on a seeded synthetic store.
+// thread-count determinism), and agreement between zero-copy CSR views and
+// the legacy materializing per-user streams on a seeded synthetic store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
-#include "events/binary.hpp"
 #include "events/event_log.hpp"
-#include "events/io.hpp"
-#include "events/live_io.hpp"
 #include "market/store.hpp"
 #include "obs/registry.hpp"
 #include "synth/generator.hpp"
@@ -179,128 +173,6 @@ TEST(EventLog, BuildRecordsMetrics) {
   EXPECT_TRUE(saw_build);
 }
 
-// ---- persistence -------------------------------------------------------------
-
-class EventsIoFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    directory_ = std::filesystem::temp_directory_path() / "appstore_events_test";
-    std::filesystem::remove_all(directory_);
-    std::filesystem::create_directories(directory_);
-  }
-  void TearDown() override { std::filesystem::remove_all(directory_); }
-
-  std::filesystem::path directory_;
-};
-
-/// Seeded random log over the given column mask.
-EventLog make_random_log(Columns columns, std::uint64_t seed, int count) {
-  util::Rng rng(seed);
-  EventLog log(columns);
-  for (int i = 0; i < count; ++i) {
-    log.append(static_cast<std::uint32_t>(rng.below(64)),
-               static_cast<std::uint32_t>(rng.below(1000)),
-               has_column(columns, Columns::kDay)
-                   ? static_cast<std::int32_t>(rng.below(365)) - 30
-                   : 0,
-               has_column(columns, Columns::kOrdinal) ? static_cast<std::uint32_t>(i) : 0,
-               has_column(columns, Columns::kRating)
-                   ? static_cast<std::uint8_t>(1 + rng.below(5))
-                   : 0);
-  }
-  return log;
-}
-
-void expect_logs_identical(const EventLog& a, const EventLog& b) {
-  ASSERT_EQ(a.columns(), b.columns());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Event lhs = a.row(i);
-    const Event rhs = b.row(i);
-    ASSERT_EQ(lhs.user, rhs.user) << "row " << i;
-    ASSERT_EQ(lhs.app, rhs.app) << "row " << i;
-    ASSERT_EQ(lhs.day, rhs.day) << "row " << i;
-    ASSERT_EQ(lhs.ordinal, rhs.ordinal) << "row " << i;
-    ASSERT_EQ(lhs.rating, rhs.rating) << "row " << i;
-  }
-}
-
-TEST_F(EventsIoFixture, BinaryAndCsvLoadsAreElementWiseIdentical) {
-  // Property: for any column mask, save_binary -> load_binary and
-  // save_csv -> load_csv reproduce the same log, element for element.
-  const Columns masks[] = {
-      Columns::kNone,
-      Columns::kDay,
-      Columns::kDay | Columns::kOrdinal,
-      Columns::kDay | Columns::kOrdinal | Columns::kRating,
-  };
-  std::uint64_t seed = 23;
-  for (const Columns mask : masks) {
-    const EventLog original = make_random_log(mask, seed++, 800);
-    const auto bin_path = directory_ / "log.bin";
-    const auto csv_path = directory_ / "log.csv";
-    events::save_binary(original, bin_path);
-    events::save_csv(original, csv_path);
-    const EventLog from_binary = events::load_binary(bin_path);
-    const EventLog from_csv = events::load_csv(csv_path);
-    expect_logs_identical(original, from_binary);
-    expect_logs_identical(from_binary, from_csv);
-  }
-}
-
-TEST_F(EventsIoFixture, EmptyLogRoundTrips) {
-  const EventLog original(Columns::kDay | Columns::kRating);
-  const auto bin_path = directory_ / "empty.bin";
-  const auto csv_path = directory_ / "empty.csv";
-  events::save_binary(original, bin_path);
-  events::save_csv(original, csv_path);
-  EXPECT_TRUE(events::load_binary(bin_path).empty());
-  const EventLog from_csv = events::load_csv(csv_path);
-  EXPECT_TRUE(from_csv.empty());
-  EXPECT_EQ(from_csv.columns(), original.columns());
-}
-
-TEST_F(EventsIoFixture, MissingOrForeignFilesThrow) {
-  EXPECT_THROW((void)events::load_binary(directory_ / "absent.bin"), std::runtime_error);
-  const auto path = directory_ / "foreign.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not an event log";
-  }
-  EXPECT_THROW((void)events::load_binary(path), std::runtime_error);
-}
-
-TEST_F(EventsIoFixture, BinaryLoaderEnforcesAppAndDayBounds) {
-  // Satellite: LoadLimits now bounds the app and day columns uniformly
-  // across AEVL/ALSG/AOBS, each defect a typed error.
-  EventLog log(Columns::kDay);
-  log.append(1, 900, -12, 0, 0);
-  const auto path = directory_ / "bounds.bin";
-  events::save_binary(log, path);
-
-  EXPECT_EQ(events::load_binary(path).size(), 1u);  // defaults admit everything
-
-  events::LoadLimits limits;
-  limits.app_bound = 900;  // exclusive: app 900 is out of range
-  try {
-    (void)events::load_binary(path, limits);
-    FAIL() << "app 900 must not pass a bound of 900";
-  } catch (const events::binary::LoadError& error) {
-    EXPECT_EQ(error.kind(), events::binary::LoadErrorKind::kAppRange);
-  }
-
-  limits = {};
-  limits.day_bound = 10;  // magnitude window: day -12 falls outside [-10, 10)
-  try {
-    (void)events::load_binary(path, limits);
-    FAIL() << "day -12 must not pass a magnitude bound of 10";
-  } catch (const events::binary::LoadError& error) {
-    EXPECT_EQ(error.kind(), events::binary::LoadErrorKind::kDayRange);
-  }
-  limits.day_bound = 13;  // [-13, 13) admits -12
-  EXPECT_EQ(events::load_binary(path, limits).size(), 1u);
-}
-
 // ---- live tiered-index streams vs batch CSR ---------------------------------
 
 TEST(EventLogStore, LiveStreamsMatchBatchCsrOnSeededStore) {
@@ -316,7 +188,6 @@ TEST(EventLogStore, LiveStreamsMatchBatchCsrOnSeededStore) {
   profile.commenter_fraction = 0.25;
   const auto generated = synth::generate(profile, config);
   const market::AppStore& store = *generated.store;
-  ASSERT_TRUE(store.stream_index_built());
   ASSERT_GT(store.comment_log().size(), 0u);
 
   events::EventLog batch_comments = store.comment_log().to_event_log();

@@ -40,6 +40,7 @@
 #include "load/workload.hpp"
 #include "net/http.hpp"
 #include "net/upstreams.hpp"
+#include "obs/registry.hpp"
 #include "query/federate.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
@@ -479,6 +480,23 @@ TEST(Gateway, AccountingInvariantHoldsUnderFaultPlanLoad) {
   EXPECT_GT(stats.http_5xx + stats.transport, 0u);
   EXPECT_EQ(stats.hedges, stats.hedges_cancelled);
   EXPECT_GE(stats.hedges, stats.hedge_wins);
+
+  // The exported gateway_* families count exactly what the stats count.
+  const obs::Snapshot snapshot = gateway.metrics().snapshot();
+  const auto counter = [&](std::string_view name, std::string_view label) {
+    const obs::CounterSample* sample = snapshot.find_counter(name, label);
+    return sample == nullptr ? ~std::uint64_t{0} : sample->value;
+  };
+  EXPECT_EQ(counter("gateway_requests_total", "ok"), stats.ok);
+  EXPECT_EQ(counter("gateway_requests_total", "http_4xx"), stats.http_4xx);
+  EXPECT_EQ(counter("gateway_requests_total", "http_5xx"), stats.http_5xx);
+  EXPECT_EQ(counter("gateway_requests_total", "transport"), stats.transport);
+  EXPECT_EQ(counter("gateway_requests_total", "breaker_open"), stats.breaker_open);
+  EXPECT_EQ(counter("gateway_requests_total", "shed"), stats.shed);
+  EXPECT_EQ(counter("gateway_upstream_calls_total", ""), stats.upstream_calls);
+  EXPECT_EQ(counter("gateway_hedges_total", "issued"), stats.hedges);
+  EXPECT_EQ(counter("gateway_hedges_total", "won"), stats.hedge_wins);
+  EXPECT_EQ(counter("gateway_hedges_total", "cancelled"), stats.hedges_cancelled);
 }
 
 // ---- cross-shard parity against the single store and the goldens -----------------

@@ -175,7 +175,10 @@ TEST(GamedayScenario, FlashCrowdConcentratesOnTheHeadOfThePopularityCurve) {
             request.kind != load::OpKind::kComments) {
           continue;
         }
-        const std::uint64_t id = std::stoull(request.target.substr(9));  // "/api/app/"
+        const std::string_view path =
+            std::string_view(request.target).substr(0, request.target.find('?'));
+        const std::string_view rest = crawlersim::AppstoreService::route(path).rest;
+        const std::uint64_t id = std::stoull(std::string(rest));
         head += id < options.mix.app_count / 10 ? 1 : 0;
         ++total;
       }

@@ -21,7 +21,6 @@
 
 #include "events/binary.hpp"
 #include "events/event_log.hpp"
-#include "events/io.hpp"
 #include "events/live_io.hpp"
 #include "events/live_log.hpp"
 
@@ -405,7 +404,7 @@ TEST(LiveEventIo, LoadRejectsUsersBeyondTheBound) {
 }
 
 TEST(LiveEventIo, SegmentedLoaderEnforcesAppAndDayBounds) {
-  // Satellite: the ALSG loader applies the same app/day windows as AEVL.
+  // The ALSG loader applies the LoadLimits app and day windows.
   const auto dir = std::filesystem::path(::testing::TempDir()) / "live_events_appday";
   std::filesystem::create_directories(dir);
   const auto path = dir / "log.alsg";
@@ -435,30 +434,6 @@ TEST(LiveEventIo, SegmentedLoaderEnforcesAppAndDayBounds) {
   EXPECT_EQ(events::load_segmented(path, small_options(1u << 10, 1u << 8, 64), limits)
                 ->frontier(),
             1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(LiveEventIo, BinaryLoaderAppliesTheSameBound) {
-  // Satellite fix: the AEVL path gained the identical user-range check.
-  const auto dir = std::filesystem::path(::testing::TempDir()) / "live_events_aevl_bound";
-  std::filesystem::create_directories(dir);
-  const auto path = dir / "log.bin";
-
-  events::EventLog log(Columns::kDay);
-  log.append(4000, 1, 2, 0, 0);
-  events::save_binary(log, path);
-
-  EXPECT_EQ(events::load_binary(path).size(), 1u);  // default: effectively unbounded
-  events::LoadLimits limits;
-  limits.user_bound = 4000;  // exclusive: user 4000 is out of range
-  try {
-    (void)events::load_binary(path, limits);
-    FAIL() << "user 4000 must not pass an exclusive bound of 4000";
-  } catch (const events::binary::LoadError& error) {
-    EXPECT_EQ(error.kind(), events::binary::LoadErrorKind::kUserRange);
-  }
-  limits.user_bound = 4001;
-  EXPECT_EQ(events::load_binary(path, limits).size(), 1u);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "chaos/clock.hpp"
 #include "crawler/json.hpp"
@@ -106,7 +107,8 @@ TEST(Workload, PopularitySkewFollowsZipf) {
   std::uint64_t total = 0;
   for (const auto& client : build_schedule(options).per_client) {
     for (const Request& request : client) {
-      const std::uint64_t id = std::stoull(request.target.substr(9));  // "/api/app/"
+      const std::string_view rest = crawlersim::AppstoreService::route(request.target).rest;
+      const std::uint64_t id = std::stoull(std::string(rest));
       top_decile += id < 100 ? 1 : 0;
       ++total;
     }
@@ -280,7 +282,7 @@ TEST(LoadReport, JsonRoundTripsThroughParser) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->at("speedup").as_number(), 5.0);
   EXPECT_EQ(parsed->at("response_cache_hits").as_u64(), 750u);
-  const auto& baseline = parsed->at("baseline_thread_per_connection");
+  const auto& baseline = parsed->at("baseline_uncached");
   EXPECT_EQ(baseline.at("totals").at("issued").as_u64(), 800u);
   const auto& breakdown = baseline.at("totals").at("shed_breakdown");
   EXPECT_EQ(breakdown.at("accept").as_u64(), 3u);

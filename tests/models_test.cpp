@@ -29,6 +29,13 @@ ModelParams small_params() {
   return params;
 }
 
+/// Number of distinct apps in one user's recorded sequence.
+std::size_t distinct_apps(const events::UserStreamView& sequence) {
+  std::set<std::uint32_t> unique;
+  for (const events::Event event : sequence) unique.insert(event.app);
+  return unique.size();
+}
+
 // ---- ClusterLayout -------------------------------------------------------------
 
 TEST(ClusterLayout, RoundRobinBalanced) {
@@ -133,9 +140,9 @@ TEST(ZipfModel, AllowsRepeatDownloadsPerUser) {
   util::Rng rng(4);
   const Workload workload = model.generate(rng, true);
   bool found_repeat = false;
-  for (const auto& sequence : workload.user_sequences()) {
-    std::set<std::uint32_t> unique(sequence.begin(), sequence.end());
-    if (unique.size() < sequence.size()) found_repeat = true;
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    const events::UserStreamView sequence = workload.sequence_view(user);
+    if (distinct_apps(sequence) < sequence.size()) found_repeat = true;
   }
   EXPECT_TRUE(found_repeat);  // pure ZIPF has no fetch-at-most-once
 }
@@ -146,9 +153,9 @@ TEST(ZipfAmo, NoUserDownloadsTwice) {
   const ZipfAtMostOnceModel model(small_params());
   util::Rng rng(5);
   const Workload workload = model.generate(rng, true);
-  for (const auto& sequence : workload.user_sequences()) {
-    std::set<std::uint32_t> unique(sequence.begin(), sequence.end());
-    EXPECT_EQ(unique.size(), sequence.size());
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    const events::UserStreamView sequence = workload.sequence_view(user);
+    EXPECT_EQ(distinct_apps(sequence), sequence.size());
   }
 }
 
@@ -211,8 +218,8 @@ TEST(ZipfAmo, ExhaustsWhenDemandExceedsApps) {
   const ZipfAtMostOnceModel model(params);
   util::Rng rng(8);
   const Workload workload = model.generate(rng, true);
-  for (const auto& sequence : workload.user_sequences()) {
-    EXPECT_EQ(sequence.size(), 5u);  // capped at app_count
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    EXPECT_EQ(workload.sequence_view(user).size(), 5u);  // capped at app_count
   }
   EXPECT_EQ(workload.total(), 50u);
 }
@@ -236,9 +243,9 @@ TEST(AppClustering, NoUserDownloadsTwice) {
                                  ClusterLayout::round_robin(500, 10));
   util::Rng rng(10);
   const Workload workload = model.generate(rng, true);
-  for (const auto& sequence : workload.user_sequences()) {
-    std::set<std::uint32_t> unique(sequence.begin(), sequence.end());
-    EXPECT_EQ(unique.size(), sequence.size());
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    const events::UserStreamView sequence = workload.sequence_view(user);
+    EXPECT_EQ(distinct_apps(sequence), sequence.size());
   }
 }
 
@@ -254,9 +261,10 @@ TEST(AppClustering, SequencesShowClusterAffinity) {
   // exceed the ~1/10 random-walk baseline.
   std::uint64_t same = 0;
   std::uint64_t pairs = 0;
-  for (const auto& sequence : workload.user_sequences()) {
+  for (std::uint32_t user = 0; user < workload.sequences.user_count(); ++user) {
+    const events::UserStreamView sequence = workload.sequence_view(user);
     for (std::size_t i = 1; i < sequence.size(); ++i) {
-      same += layout.cluster_of(sequence[i]) == layout.cluster_of(sequence[i - 1]) ? 1 : 0;
+      if (layout.cluster_of(sequence[i].app) == layout.cluster_of(sequence[i - 1].app)) ++same;
       ++pairs;
     }
   }
@@ -392,7 +400,7 @@ TEST(Stream, CapTruncatesUniformly) {
   params.user_count = 300;
   const ZipfModel model(params);
   util::Rng rng(18);
-  const auto stream = generate_stream(model, rng, 500);
+  const auto stream = generate_stream(model, rng, {.max_requests = 500});
   EXPECT_EQ(stream.size(), 500u);
   // Users from the whole range should appear (no head-of-list bias).
   std::set<std::uint32_t> users;

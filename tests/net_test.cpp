@@ -4,7 +4,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
+#include <vector>
 
 #include "chaos/clock.hpp"
 #include "net/http.hpp"
@@ -13,6 +17,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "obs/registry.hpp"
+#include "util/format.hpp"
 
 namespace appstore::net {
 namespace {
@@ -35,6 +40,20 @@ TEST(Http, ParseRequestRejectsGarbage) {
   EXPECT_FALSE(parse_request_head("GET /x HTTP/2.0junk\r\n", request));
   EXPECT_FALSE(parse_request_head("GET  HTTP/1.1\r\n", request));
   EXPECT_FALSE(parse_request_head("GET nopath HTTP/1.1\r\n", request));
+}
+
+TEST(Http, AmbiguousFramingRejectsTheHead) {
+  const auto parses = [](std::string_view head) {
+    HttpRequest request;
+    return parse_request_head(head, request);
+  };
+  EXPECT_FALSE(parses("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"));
+  EXPECT_FALSE(parses("POST /x HTTP/1.1\r\nContent-Length: 4\r\ntransfer-encoding: identity\r\n"));
+  EXPECT_FALSE(parses("POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 50\r\n"));
+  EXPECT_TRUE(parses("POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n"));
+  HttpResponse response;
+  EXPECT_FALSE(parse_response_head(
+      "HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n", response));
 }
 
 TEST(Http, ParseResponseHead) {
@@ -86,7 +105,7 @@ TEST(Http, NoQueryString) {
 // ---- sockets + server integration -------------------------------------------------
 
 TEST(Server, EchoRoundTrip) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server({}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   HttpClient client("127.0.0.1", server.port());
@@ -97,7 +116,7 @@ TEST(Server, EchoRoundTrip) {
 }
 
 TEST(Server, HandlerExceptionBecomes500) {
-  HttpServer server(0, [](const HttpRequest&) -> HttpResponse {
+  HttpServer server({}, [](const HttpRequest&) -> HttpResponse {
     throw std::runtime_error("boom");
   });
   HttpClient client("127.0.0.1", server.port());
@@ -107,7 +126,7 @@ TEST(Server, HandlerExceptionBecomes500) {
 
 TEST(Server, ConcurrentClients) {
   std::atomic<int> handled{0};
-  HttpServer server(0, [&](const HttpRequest&) {
+  HttpServer server({}, [&](const HttpRequest&) {
     ++handled;
     return HttpResponse::text(200, "ok");
   });
@@ -133,14 +152,14 @@ TEST(Server, ConcurrentClients) {
 }
 
 TEST(Server, StopIsIdempotent) {
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, ""); });
+  HttpServer server({}, [](const HttpRequest&) { return HttpResponse::text(200, ""); });
   server.stop();
   server.stop();  // second stop is a no-op
 }
 
 TEST(Server, LargeBodyRoundTrip) {
   const std::string large(512 * 1024, 'x');
-  HttpServer server(0, [&](const HttpRequest&) { return HttpResponse::text(200, large); });
+  HttpServer server({}, [&](const HttpRequest&) { return HttpResponse::text(200, large); });
   HttpClient client("127.0.0.1", server.port());
   const HttpResponse response = client.get("/big");
   EXPECT_EQ(response.body.size(), large.size());
@@ -208,6 +227,85 @@ TEST(Server, ShedsWith503WhenSaturated) {
   EXPECT_EQ(shed->value, server.connections_shed());
 }
 
+// ---- framing fails closed over a real server ------------------------------------
+
+/// Writes `wire` on a raw connection, half-closes, and returns every byte the
+/// server wrote back before it closed the connection.
+std::string exchange_raw(std::uint16_t port, std::string_view wire) {
+  TcpStream stream = TcpStream::connect("127.0.0.1", port);
+  stream.set_timeout(std::chrono::milliseconds(5000));
+  stream.write_all(wire);
+  stream.shutdown_write();
+  std::string received;
+  std::byte chunk[4096];
+  try {
+    while (const std::size_t n = stream.read_some(chunk)) {
+      received.append(reinterpret_cast<const char*>(chunk), n);
+    }
+  } catch (const std::system_error& error) {
+    // Closing with request bytes still unread surfaces here as a reset.
+    if (error.code() != std::errc::connection_reset) throw;
+  }
+  return received;
+}
+
+/// A server whose handler records every target it is asked to serve.
+class RecordingServer {
+ public:
+  RecordingServer()
+      : server_({}, [this](const HttpRequest& request) {
+          const std::lock_guard lock(mutex_);
+          targets_.push_back(request.target + " " + request.body);
+          return HttpResponse::text(200, "ok");
+        }) {}
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
+  [[nodiscard]] std::vector<std::string> targets() {
+    const std::lock_guard lock(mutex_);
+    return targets_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::string> targets_;
+  HttpServer server_;
+};
+
+TEST(Framing, ChunkedBodyNeverSmugglesARequest) {
+  // The chunk carries a whole request. A reader that ignored the
+  // Transfer-Encoding and framed by Content-Length would serve it next.
+  const std::string smuggled = "GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n";
+  RecordingServer server;
+  const std::string received = exchange_raw(
+      server.port(),
+      util::format("POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n"
+                   "Transfer-Encoding: chunked\r\n\r\n{:x}\r\n{}\r\n0\r\n\r\n"
+                   "GET /after HTTP/1.1\r\nHost: x\r\n\r\n",
+                   smuggled.size(), smuggled));
+  EXPECT_EQ(received, "");  // closed without serving anything
+  EXPECT_TRUE(server.targets().empty());
+}
+
+TEST(Framing, ConflictingContentLengthsNeverReachTheHandler) {
+  RecordingServer server;
+  const std::string received = exchange_raw(
+      server.port(),
+      "POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nContent-Length: 50\r\n\r\n"
+      "helloGET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n");
+  EXPECT_EQ(received, "");
+  EXPECT_TRUE(server.targets().empty());
+}
+
+TEST(Framing, IdenticalDuplicateContentLengthsStillParse) {
+  RecordingServer server;
+  const std::string received = exchange_raw(
+      server.port(),
+      "POST /upload HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n"
+      "hello");
+  EXPECT_TRUE(received.starts_with("HTTP/1.1 200 OK\r\n")) << received;
+  EXPECT_EQ(server.targets(), std::vector<std::string>{"/upload hello"});
+}
+
 TEST(Sockets, ListenerEphemeralPortAssigned) {
   TcpListener listener(0);
   EXPECT_GT(listener.port(), 0);
@@ -231,7 +329,7 @@ TEST(Sockets, ConnectToClosedPortFails) {
 
 
 TEST(PersistentClient, ReusesOneConnection) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server({}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   PersistentHttpClient client("127.0.0.1", server.port());
@@ -243,7 +341,7 @@ TEST(PersistentClient, ReusesOneConnection) {
 }
 
 TEST(PersistentClient, ReconnectsAfterServerClose) {
-  HttpServer server(0, [](const HttpRequest&) {
+  HttpServer server({}, [](const HttpRequest&) {
     HttpResponse response = HttpResponse::text(200, "ok");
     response.headers["Connection"] = "close";
     return response;
@@ -258,7 +356,7 @@ TEST(PersistentClient, ReconnectsAfterServerClose) {
 }
 
 TEST(PersistentClient, ResetForcesReconnect) {
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
+  HttpServer server({}, [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
   PersistentHttpClient client("127.0.0.1", server.port());
   EXPECT_EQ(client.get("/one").status, 200);
   client.reset();
@@ -281,7 +379,7 @@ TEST(PersistentClient, FailsCleanlyOnDeadServer) {
 // ---- client options --------------------------------------------------------------------
 
 TEST(ClientOptions, OptionsStructConstruction) {
-  HttpServer server(0, [](const HttpRequest& request) {
+  HttpServer server({}, [](const HttpRequest& request) {
     return HttpResponse::text(200, "echo:" + request.target);
   });
   ClientOptions options;
@@ -290,16 +388,6 @@ TEST(ClientOptions, OptionsStructConstruction) {
   EXPECT_EQ(client.get("/a").body, "echo:/a");
   PersistentHttpClient persistent("127.0.0.1", server.port(), options);
   EXPECT_EQ(persistent.get("/b").body, "echo:/b");
-}
-
-TEST(ClientOptions, TimeoutOverloadStillCompiles) {
-  // The pre-Options back-compat overload: a bare milliseconds timeout.
-  HttpServer server(0, [](const HttpRequest&) { return HttpResponse::text(200, "ok"); });
-  HttpClient client("127.0.0.1", server.port(), std::chrono::milliseconds(1500));
-  EXPECT_EQ(client.get("/x").status, 200);
-  PersistentHttpClient persistent("127.0.0.1", server.port(),
-                                  std::chrono::milliseconds(1500));
-  EXPECT_EQ(persistent.get("/y").status, 200);
 }
 
 TEST(RateLimiter, BurstThenBlocked) {

@@ -299,7 +299,7 @@ TEST(Bootstrap, ConsumesExactlyOneDraw) {
 TEST(Cache, ParallelSizeSweepMatchesSerial) {
   const auto model = models::make_model(models::ModelKind::kAppClustering, small_params());
   util::Rng rng(37);
-  const auto stream = models::generate_stream(*model, rng, models::StreamOptions{});
+  const auto stream = models::generate_stream_log(*model, rng);
   const std::vector<std::size_t> sizes = {4, 16, 64};
 
   const auto serial = cache::sweep_cache_sizes(cache::PolicyKind::kLru, sizes, stream, {},

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -23,7 +24,6 @@
 #include "crawler/db_io.hpp"
 #include "crawler/service.hpp"
 #include "events/binary.hpp"
-#include "events/io.hpp"
 #include "events/live_io.hpp"
 #include "net/breaker.hpp"
 #include "net/proxy.hpp"
@@ -323,36 +323,43 @@ TEST_F(RobustnessFixture, BreakerOpensOnRepeatedResetsAndCrawlCompletes) {
 
 // ---- typed load errors ------------------------------------------------------------
 
+// Pinned on ALSG, the live store's segmented format, which writes the shared
+// binary::write_header and honors the same torn-write seam as AOBS.
 class TypedLoadErrorTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::path(::testing::TempDir()) / "robustness_typed";
     std::filesystem::create_directories(dir_);
-    path_ = dir_ / "log.bin";
-    log_ = events::EventLog(events::Columns::kDay | events::Columns::kOrdinal |
-                            events::Columns::kRating);
+    path_ = dir_ / "log.alsg";
+    options_.max_rows = 1u << 10;
+    options_.segment_rows = 1u << 6;
+    options_.max_users = 256;
+    log_ = std::make_unique<events::LiveEventLog>(
+        events::Columns::kDay | events::Columns::kOrdinal | events::Columns::kRating,
+        options_);
     for (std::uint32_t i = 0; i < 100; ++i) {
-      log_.append(i % 7, i % 13, static_cast<std::int32_t>(i % 30), i,
-                  static_cast<std::uint8_t>(i % 5 + 1));
+      log_->append(i % 7, i % 13, static_cast<std::int32_t>(i % 30),
+                   static_cast<std::uint8_t>(i % 5 + 1));
     }
-    events::save_binary(log_, path_);
+    restore();
   }
 
   /// Loads and reports the typed kind, or nullopt on clean success.
   [[nodiscard]] std::optional<events::binary::LoadErrorKind> load_kind() {
     try {
-      (void)events::load_binary(path_);
+      (void)events::load_segmented(path_, options_);
       return std::nullopt;
     } catch (const events::binary::LoadError& error) {
       return error.kind();
     }
   }
 
-  void restore() { events::save_binary(log_, path_); }
+  void restore() { events::save_segmented(log_->snapshot(), path_); }
 
   std::filesystem::path dir_;
   std::filesystem::path path_;
-  events::EventLog log_;
+  events::LiveOptions options_;
+  std::unique_ptr<events::LiveEventLog> log_;
 };
 
 TEST_F(TypedLoadErrorTest, EveryHeaderDefectHasItsKind) {
@@ -394,7 +401,7 @@ TEST_F(TypedLoadErrorTest, EveryHeaderDefectHasItsKind) {
 
 TEST_F(TypedLoadErrorTest, MissingFileIsATypedOpenError) {
   try {
-    (void)events::load_binary(dir_ / "does_not_exist.bin");
+    (void)events::load_segmented(dir_ / "does_not_exist.alsg", options_);
     FAIL() << "expected LoadError";
   } catch (const events::binary::LoadError& error) {
     EXPECT_EQ(error.kind(), events::binary::LoadErrorKind::kOpen);
@@ -408,43 +415,7 @@ TEST_F(TypedLoadErrorTest, CorruptedCountCannotTriggerGiantAllocation) {
   EXPECT_EQ(load_kind(), events::binary::LoadErrorKind::kLengthMismatch);
 }
 
-// ---- seeded corruption fuzz over both binary formats ------------------------------
-
-TEST(CorruptionFuzz, EventLogLoaderSurvives500SeededCorruptions) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / "robustness_fuzz_aevl";
-  std::filesystem::create_directories(dir);
-  const auto pristine = dir / "pristine.bin";
-  const auto work = dir / "work.bin";
-
-  events::EventLog log(events::Columns::kDay | events::Columns::kRating);
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    log.append(i, i * 31 % 97, static_cast<std::int32_t>(i % 60), 0,
-               static_cast<std::uint8_t>(i % 6));
-  }
-  events::save_binary(log, pristine);
-
-  std::size_t clean = 0;
-  std::size_t typed = 0;
-  for (std::uint64_t seed = 0; seed < 500; ++seed) {
-    std::filesystem::copy_file(pristine, work,
-                               std::filesystem::copy_options::overwrite_existing);
-    util::Rng rng(util::rng::derive_seed(0xfeed, seed));
-    const std::string what = chaos::corrupt_file(work, rng);
-    try {
-      const events::EventLog loaded = events::load_binary(work);
-      // A payload byte flip yields a structurally valid log; that is fine —
-      // the loader's contract is structure, not semantics.
-      EXPECT_EQ(loaded.size(), log.size()) << what;
-      ++clean;
-    } catch (const events::binary::LoadError&) {
-      ++typed;
-    } catch (const std::exception& error) {
-      ADD_FAILURE() << "untyped failure after '" << what << "': " << error.what();
-    }
-  }
-  EXPECT_EQ(clean + typed, 500u);
-  EXPECT_GT(typed, 0u);  // the corruptions really exercised the validators
-}
+// ---- seeded corruption fuzz over the binary formats ------------------------------
 
 TEST(CorruptionFuzz, SegmentedLiveLogLoaderSurvives500SeededCorruptions) {
   const auto dir = std::filesystem::path(::testing::TempDir()) / "robustness_fuzz_alsg";

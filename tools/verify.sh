@@ -18,6 +18,10 @@
 #            properties, hedge determinism, cross-shard golden parity), then
 #            bench_federation: exits non-zero when a fan-out endpoint's p99
 #            breaches 3x the single-shard p99 at the same offered load
+#   perfbench  configure + build the repo benchmark (perfbench/, its own CMake
+#            package compiling ../src) exactly as perfbench/run.py does, into
+#            .bench_build/perfbench, and run its self-tests (no timed run):
+#            catches a src/ API change that breaks the benchmark's build
 #
 # Usage: tools/verify.sh [stage ...]     (no args = all stages)
 # Env:   JOBS=<n> to cap build parallelism (default: nproc).
@@ -27,7 +31,8 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
 STAGES=("$@")
-[[ ${#STAGES[@]} -eq 0 ]] && STAGES=(tier1 tsan chaos load query recovery ingest gameday federation)
+[[ ${#STAGES[@]} -eq 0 ]] &&
+  STAGES=(tier1 tsan chaos load query recovery ingest gameday federation perfbench)
 
 want() {
   local stage
@@ -108,6 +113,13 @@ if want federation; then
   cmake --build --preset tsan -j"$JOBS" --target federation_test
   ctest --test-dir build-tsan -L federation --output-on-failure
   ./build/bench/bench_federation --metrics-out=results/BENCH_federation_metrics.json
+fi
+
+if want perfbench; then
+  banner "perfbench: build the repo benchmark against this tree + self-tests"
+  cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build .bench_build/perfbench -j"$JOBS"
+  ./.bench_build/perfbench/perfbench_tests
 fi
 
 banner "all requested stages passed: ${STAGES[*]}"
