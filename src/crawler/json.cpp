@@ -53,16 +53,22 @@ void write_number(std::string& out, double value) {
     out += "null";  // JSON has no NaN/Inf
     return;
   }
-  // Integers within the exactly-representable range print without decimals.
-  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%.0f", value);
-    out += buffer;
-    return;
-  }
+  // Integers within the exactly-representable range print without decimals
+  // (byte-identical to printf "%.0f", including "-0" for negative zero);
+  // everything else prints like "%.17g", so doubles round-trip exactly.
   char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
+  std::to_chars_result written;
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    if (value == 0.0 && std::signbit(value)) {
+      out += "-0";
+      return;
+    }
+    written = std::to_chars(buffer, buffer + sizeof buffer, static_cast<std::int64_t>(value));
+  } else {
+    written = std::to_chars(buffer, buffer + sizeof buffer, value,
+                            std::chars_format::general, 17);
+  }
+  out.append(buffer, written.ptr);
 }
 
 }  // namespace

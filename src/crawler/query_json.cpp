@@ -203,10 +203,10 @@ query::QuerySpec parse_query_request(const net::HttpRequest& request) {
   return spec_from_params(request.query());
 }
 
-Json query_partial_json(const query::PartialAggregate& partial, market::Day day) {
+Json query_partial_json(const query::PartialAggregate& partial) {
   JsonObject document;
   document.emplace_back("kind", Json(query::to_string(partial.kind)));
-  document.emplace_back("day", Json(static_cast<std::int64_t>(day)));
+  document.emplace_back("day", Json(static_cast<std::int64_t>(partial.day)));
   document.emplace_back("partial", Json(true));
   document.emplace_back(
       "plan", json_object({{"index_scans", static_cast<std::uint64_t>(partial.index_scans)},
@@ -238,7 +238,7 @@ Json query_partial_json(const query::PartialAggregate& partial, market::Day day)
     for (std::size_t i = 0; i < partial.counts.size(); ++i) {
       JsonArray pair(2);
       pair[0] = Json(static_cast<std::uint64_t>(partial.counts[i].first));
-      pair[1] = Json(partial.counts[i].second);
+      pair[1] = Json(static_cast<std::uint64_t>(partial.counts[i].second));
       counts[i] = Json(std::move(pair));
     }
     document.emplace_back("counts", Json(std::move(counts)));
@@ -259,6 +259,9 @@ query::PartialAggregate partial_from_json(const Json& document) {
   }
   query::PartialAggregate partial;
   partial.kind = query::parse_aggregate_kind(kind->as_string());
+  if (const Json* day = document.find("day"); day != nullptr && day->is_number()) {
+    partial.day = static_cast<market::Day>(day->as_number());
+  }
   if (const Json* plan = document.find("plan"); plan != nullptr && plan->is_object()) {
     const auto plan_count = [&](std::string_view name) -> std::uint32_t {
       const Json* value = plan->find(name);
@@ -313,13 +316,20 @@ query::PartialAggregate partial_from_json(const Json& document) {
     partial.app_count = u64_member("app_count");
     const Json* counts = document.find("counts");
     if (counts == nullptr || !counts->is_array()) return fail("missing 'counts' array");
+    // Both members of a pair are 32-bit: app ids, and per-app counts bounded
+    // by a shard's 32-bit row ids.
+    const auto u32 = [](const Json& value) {
+      return value.is_number() && value.as_number() >= 0.0 &&
+             value.as_number() <= static_cast<double>(std::numeric_limits<std::uint32_t>::max());
+    };
+    partial.counts.reserve(counts->as_array().size());
     for (const Json& pair : counts->as_array()) {
-      if (!pair.is_array() || pair.as_array().size() != 2 ||
-          !pair.as_array()[0].is_number() || !pair.as_array()[1].is_number()) {
-        return fail("count entries must be [app, count] pairs");
+      if (!pair.is_array() || pair.as_array().size() != 2 || !u32(pair.as_array()[0]) ||
+          !u32(pair.as_array()[1])) {
+        return fail("count entries must be [app, count] pairs of 32-bit values");
       }
       partial.counts.emplace_back(static_cast<std::uint32_t>(pair.as_array()[0].as_u64()),
-                                  pair.as_array()[1].as_u64());
+                                  static_cast<std::uint32_t>(pair.as_array()[1].as_u64()));
     }
   }
   return partial;

@@ -44,14 +44,15 @@ namespace appstore::crawlersim {
 /// partial and finalized answers distinct.
 [[nodiscard]] bool wants_partial(const net::HttpRequest& request);
 
-/// Renders a shard's partial aggregate. Counts are [app, count] pairs and
-/// affinity samples are [user, comments, value-per-depth...] rows (NaN as
-/// null); doubles use %.17g so the fragment round-trips bit-exactly.
-[[nodiscard]] Json query_partial_json(const query::PartialAggregate& partial,
-                                      market::Day day);
+/// Renders a shard's partial aggregate (the HTTP ?partial=1 answer). Counts
+/// are [app, count] pairs and affinity samples are [user, comments,
+/// value-per-depth...] rows (NaN as null); doubles use %.17g so the fragment
+/// round-trips bit-exactly.
+[[nodiscard]] Json query_partial_json(const query::PartialAggregate& partial);
 
 /// Parses a shard's partial-aggregate response body back into the typed
-/// form. Throws query::QueryError("bad_partial") on any malformed document.
+/// form. Throws query::QueryError("bad_partial") on any malformed document,
+/// including a count or app id outside 32 bits.
 [[nodiscard]] query::PartialAggregate partial_from_json(const Json& document);
 
 }  // namespace appstore::crawlersim

@@ -22,6 +22,9 @@ constexpr std::size_t kMaxCachedResponses = 4096;
 
 constexpr std::string_view kV1Prefix = "/api/v1";
 
+/// Key prefix of respond_partial()'s typed cache entries.
+constexpr std::string_view kTypedPartialKey = "typed:";
+
 /// The route table: path remainder (after the version prefix) -> endpoint.
 /// Prefix routes match any path continuing past the pattern; /app/<id>
 /// sub-routes (comments, apk) are refined by suffix below.
@@ -42,6 +45,19 @@ constexpr Route kRoutes[] = {
 [[nodiscard]] std::string client_of(const net::HttpRequest& request) {
   const auto it = request.headers.find("X-Client-Id");
   return it == request.headers.end() ? std::string("anonymous") : it->second;
+}
+
+/// Response-cache key: `prefix`, then the target minus the version prefix;
+/// a POST query is additionally keyed by its body.
+[[nodiscard]] std::string cache_key(const net::HttpRequest& request,
+                                    std::string_view prefix = {}) {
+  std::string key(prefix);
+  key += std::string_view(request.target).substr(kV1Prefix.size());
+  if (request.method == "POST") {
+    key += '\n';
+    key += request.body;
+  }
+  return key;
 }
 
 [[nodiscard]] bool is_china_client(std::string_view client) {
@@ -210,25 +226,18 @@ std::uint32_t AppstoreService::version_up_to(std::uint32_t app, market::Day day)
                  std::upper_bound(updates.begin(), updates.end(), day) - updates.begin());
 }
 
-net::HttpResponse AppstoreService::handle(const net::HttpRequest& request) {
-  const std::string path = request.path();
-  const RouteMatch match = route(path);
-  const auto slot = static_cast<std::size_t>(match.endpoint);
-  endpoint_requests_[slot]->inc();
-  const obs::ScopedTimer timer(endpoint_latency_[slot]);
-
-  // The metrics endpoint is operational, not part of the simulated store:
-  // it bypasses region gating, rate limiting and failure injection so a
-  // scrape can never be throttled by (or perturb) the workload under study.
-  if (match.endpoint == Endpoint::kMetrics) return handle_metrics(request);
-
+AppstoreService::ServiceRequest AppstoreService::context_for(
+    const net::HttpRequest& request, const RouteMatch& match) const {
   ServiceRequest context;
   context.http = &request;
   context.endpoint = match.endpoint;
   context.rest = match.rest;
   context.day = day_.load(std::memory_order_relaxed);
   context.client = client_of(request);
+  return context;
+}
 
+std::optional<net::HttpResponse> AppstoreService::check_gates(const ServiceRequest& context) {
   if (policy_.china_only && !is_china_client(context.client)) {
     region_blocked_->inc();
     return error_response(403, "region_blocked", "store not served in this region");
@@ -248,27 +257,36 @@ net::HttpResponse AppstoreService::handle(const net::HttpRequest& request) {
       return error_response(500, "internal", "transient failure (injected)");
     }
   }
-
-  const bool post_allowed = match.endpoint == Endpoint::kQuery;
-  if (request.method != "GET" && !(post_allowed && request.method == "POST")) {
+  const bool post_allowed = context.endpoint == Endpoint::kQuery;
+  const std::string& method = context.http->method;
+  if (method != "GET" && !(post_allowed && method == "POST")) {
     return error_response(405, "method_not_allowed",
                           post_allowed ? "only GET and POST supported"
                                        : "only GET supported");
   }
+  return std::nullopt;
+}
+
+net::HttpResponse AppstoreService::handle(const net::HttpRequest& request) {
+  const std::string path = request.path();
+  const RouteMatch match = route(path);
+  const auto slot = static_cast<std::size_t>(match.endpoint);
+  endpoint_requests_[slot]->inc();
+  const obs::ScopedTimer timer(endpoint_latency_[slot]);
+
+  // The metrics endpoint is operational, not part of the simulated store:
+  // it bypasses region gating, rate limiting and failure injection so a
+  // scrape can never be throttled by (or perturb) the workload under study.
+  if (match.endpoint == Endpoint::kMetrics) return handle_metrics(request);
+
+  const ServiceRequest context = context_for(request, match);
+  if (auto refusal = check_gates(context)) return std::move(*refusal);
 
   switch (match.endpoint) {
     case Endpoint::kMeta:
     case Endpoint::kApps:
-    case Endpoint::kQuery: {
-      // Cache key: the target minus the version prefix; a POST query is
-      // additionally keyed by its body.
-      std::string key(std::string_view(request.target).substr(kV1Prefix.size()));
-      if (request.method == "POST") {
-        key += '\n';
-        key += request.body;
-      }
-      return handle_cacheable(context, std::move(key));
-    }
+    case Endpoint::kQuery:
+      return handle_cacheable(context, cache_key(request));
     case Endpoint::kApp:
     case Endpoint::kComments:
     case Endpoint::kApk: {
@@ -307,6 +325,37 @@ void AppstoreService::set_day(market::Day day) {
   day_.store(day, std::memory_order_relaxed);
 }
 
+std::optional<AppstoreService::CachedResponse> AppstoreService::cache_find(
+    const std::string& key, market::Day day, std::uint64_t epoch) const {
+  if (!policy_.cache_responses) return std::nullopt;
+  const std::shared_lock lock(cache_mutex_);
+  const auto it = response_cache_.find(key);
+  if (it == response_cache_.end() || it->second.day != day || it->second.epoch != epoch) {
+    return std::nullopt;
+  }
+  cache_hits_->inc();
+  return it->second;
+}
+
+void AppstoreService::cache_store(std::string key, market::Day day, std::uint64_t epoch,
+                                  const net::HttpResponse& response,
+                                  std::shared_ptr<const query::PartialAggregate> partial) {
+  if (!policy_.cache_responses) return;
+  cache_misses_->inc();
+  if (partial == nullptr && response.status != 200) return;
+  const std::unique_lock lock(cache_mutex_);
+  // Re-check both stamps under the writer lock: a set_day or a publish that
+  // raced this computation must not get a stale entry cached over it. At
+  // capacity every resident entry is from some older stamp or a pathological
+  // key sweep — clear and start over (a fragment a caller still holds stays
+  // alive through its shared_ptr).
+  if (day_.load(std::memory_order_relaxed) != day || store_.ingest_epoch() != epoch) return;
+  if (response_cache_.size() >= kMaxCachedResponses) response_cache_.clear();
+  CachedResponse entry{day, epoch, {}, std::move(partial)};
+  if (entry.partial == nullptr) entry.response = response;
+  response_cache_.insert_or_assign(std::move(key), std::move(entry));
+}
+
 net::HttpResponse AppstoreService::handle_cacheable(const ServiceRequest& context,
                                                     std::string key) {
   // These endpoints are pure functions of (target, day, published events) —
@@ -316,15 +365,7 @@ net::HttpResponse AppstoreService::handle_cacheable(const ServiceRequest& contex
   // are still charged per request.
   const market::Day day = day_.load(std::memory_order_relaxed);
   const std::uint64_t epoch = store_.ingest_epoch();
-  if (policy_.cache_responses) {
-    const std::shared_lock lock(cache_mutex_);
-    const auto it = response_cache_.find(key);
-    if (it != response_cache_.end() && it->second.day == day &&
-        it->second.epoch == epoch) {
-      cache_hits_->inc();
-      return it->second.response;
-    }
-  }
+  if (auto hit = cache_find(key, day, epoch)) return std::move(hit->response);
   net::HttpResponse response;
   switch (context.endpoint) {
     case Endpoint::kMeta: response = handle_meta(day); break;
@@ -332,22 +373,36 @@ net::HttpResponse AppstoreService::handle_cacheable(const ServiceRequest& contex
     case Endpoint::kQuery: response = handle_query(context); break;
     default: response = error_response(404, "not_found", "no such endpoint"); break;
   }
-  if (policy_.cache_responses) {
-    cache_misses_->inc();
-    if (response.status == 200) {
-      const std::unique_lock lock(cache_mutex_);
-      // Re-check both stamps under the writer lock: a set_day or a publish
-      // that raced this computation must not get a stale entry cached over
-      // it. At capacity every resident entry is from some older stamp or a
-      // pathological key sweep — clear and start over.
-      if (day_.load(std::memory_order_relaxed) == day && store_.ingest_epoch() == epoch) {
-        if (response_cache_.size() >= kMaxCachedResponses) response_cache_.clear();
-        response_cache_.insert_or_assign(std::move(key),
-                                         CachedResponse{day, epoch, response});
-      }
-    }
-  }
+  cache_store(std::move(key), day, epoch, response);
   return response;
+}
+
+PartialResponse AppstoreService::respond_partial(const net::HttpRequest& request) {
+  const std::string path = request.path();
+  const RouteMatch match = route(path);
+  const auto slot = static_cast<std::size_t>(match.endpoint);
+  endpoint_requests_[slot]->inc();
+  const obs::ScopedTimer timer(endpoint_latency_[slot]);
+  if (match.endpoint != Endpoint::kQuery) {
+    return {nullptr, error_response(404, "not_found", "no partial form for this endpoint")};
+  }
+  const ServiceRequest context = context_for(request, match);
+  if (auto refusal = check_gates(context)) return {nullptr, std::move(*refusal)};
+
+  // Typed fragments share the response cache under their own keys (HTTP
+  // keys always start with '/'), stamped like every other entry.
+  std::string key = cache_key(request, kTypedPartialKey);
+  const std::uint64_t epoch = store_.ingest_epoch();
+  if (auto hit = cache_find(key, context.day, epoch)) return {std::move(hit->partial), {}};
+  PartialResponse answer;
+  try {
+    answer.partial = std::make_shared<const query::PartialAggregate>(
+        query_engine_->run_partial(parse_query_request(request), context.day));
+  } catch (const query::QueryError& error) {
+    answer.refusal = error_response(400, error.code(), error.what());
+  }
+  cache_store(std::move(key), context.day, epoch, answer.refusal, answer.partial);
+  return answer;
 }
 
 net::HttpResponse AppstoreService::handle_query(const ServiceRequest& context) const {
@@ -357,7 +412,7 @@ net::HttpResponse AppstoreService::handle_query(const ServiceRequest& context) c
     // fragment a federation gateway recombines (see query/federate.hpp).
     if (wants_partial(*context.http)) {
       const query::PartialAggregate partial = query_engine_->run_partial(spec, context.day);
-      return net::HttpResponse::json(200, query_partial_json(partial, context.day).dump());
+      return net::HttpResponse::json(200, query_partial_json(partial).dump());
     }
     const query::QueryResult result = query_engine_->run(spec, context.day);
     return net::HttpResponse::json(200, query_result_json(result, context.day).dump());

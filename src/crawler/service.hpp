@@ -46,11 +46,17 @@
 // publishes, so the cache never needs a stop-the-world clear and the service
 // keeps serving day-N answers while the crawler ingests day N+1. See
 // docs/serving.md.
+//
+// respond_partial() is the in-process form of a /api/v1/query?partial=1
+// call: the same gates, metrics and cache, but the answer is the typed
+// query::PartialAggregate a federation gateway merges, never JSON. See
+// docs/federation.md.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -101,6 +107,16 @@ struct ServicePolicy {
   /// outlive the service. Serving continues lock-free during the
   /// checkpoint; only ingest writers stall.
   market::DurableStore* durable = nullptr;
+};
+
+/// AppstoreService::respond_partial()'s answer: the shard's mergeable query
+/// fragment, or — when a policy gate or the request itself refused it — the
+/// error response respond() would have sent. The fragment is immutable and
+/// shared with the response cache; a holder keeps it alive past any cache
+/// clear.
+struct PartialResponse {
+  std::shared_ptr<const query::PartialAggregate> partial;  ///< null = refused
+  net::HttpResponse refusal;  ///< the non-200 answer when partial is null
 };
 
 class AppstoreService {
@@ -170,6 +186,13 @@ class AppstoreService {
     return handle(request);
   }
 
+  /// The typed partial form of a /api/v1/query request (GET or POST; no
+  /// partial flag needed): what respond() answers with ?partial=1, without
+  /// the JSON. Runs the same policy gates and service_* metrics, and caches
+  /// the fragment itself under the same (day, epoch) stamp. Any other
+  /// endpoint is refused 404.
+  [[nodiscard]] PartialResponse respond_partial(const net::HttpRequest& request);
+
   void stop() { server_->stop(); }
 
   /// Table-driven path routing: strips the /api/v1 prefix and matches the
@@ -179,6 +202,11 @@ class AppstoreService {
 
  private:
   [[nodiscard]] net::HttpResponse handle(const net::HttpRequest& request);
+  [[nodiscard]] ServiceRequest context_for(const net::HttpRequest& request,
+                                           const RouteMatch& match) const;
+  /// The policy gates (region, rate limit, injected failure, method): the
+  /// refusal, or nullopt when the request may proceed.
+  [[nodiscard]] std::optional<net::HttpResponse> check_gates(const ServiceRequest& context);
   [[nodiscard]] net::HttpResponse handle_meta(market::Day day) const;
   [[nodiscard]] net::HttpResponse handle_apps(const net::HttpRequest& request,
                                               market::Day day) const;
@@ -226,8 +254,22 @@ class AppstoreService {
   struct CachedResponse {
     market::Day day;
     std::uint64_t epoch;
-    net::HttpResponse response;
+    net::HttpResponse response;  ///< the HTTP answer (unused by typed entries)
+    /// respond_partial()'s fragment; null for HTTP entries. Typed entries
+    /// live under their own keys (see respond_partial).
+    std::shared_ptr<const query::PartialAggregate> partial;
   };
+  /// The entry for `key` when its stamp is (day, epoch), counting the hit;
+  /// nullopt when caching is off or the lookup misses.
+  [[nodiscard]] std::optional<CachedResponse> cache_find(const std::string& key,
+                                                         market::Day day,
+                                                         std::uint64_t epoch) const;
+  /// Counts the miss, then caches the answer computed under (day, epoch) —
+  /// `partial` when non-null, else `response` when it is a 200 — if that
+  /// stamp is still current.
+  void cache_store(std::string key, market::Day day, std::uint64_t epoch,
+                   const net::HttpResponse& response,
+                   std::shared_ptr<const query::PartialAggregate> partial = nullptr);
   mutable std::shared_mutex cache_mutex_;
   std::unordered_map<std::string, CachedResponse> response_cache_;
 

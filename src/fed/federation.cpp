@@ -15,9 +15,12 @@ void Federation::set_day(market::Day day) {
 void Federation::attach(FederationGateway& gateway) const {
   for (std::size_t i = 0; i < services.size(); ++i) {
     crawlersim::AppstoreService* service = services[i].get();
-    gateway.add_upstream(shard_ids[i], [service](const net::HttpRequest& request) {
-      return service->respond(request);
-    });
+    gateway.add_upstream(
+        shard_ids[i],
+        [service](const net::HttpRequest& request) { return service->respond(request); },
+        [service](const net::HttpRequest& request) {
+          return service->respond_partial(request);
+        });
   }
 }
 

@@ -55,7 +55,9 @@ struct Federation {
 
   /// Registers every shard on `gateway` (in shard-id order; the gateway's
   /// ring is rebuilt by these joins, so construct it with the same
-  /// RingOptions the federation used or routing will disagree).
+  /// RingOptions the federation used or routing will disagree). Each shard
+  /// registers respond() and the typed respond_partial(), so scatter queries
+  /// exchange partials without JSON.
   void attach(FederationGateway& gateway) const;
 };
 

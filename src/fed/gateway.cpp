@@ -53,7 +53,7 @@ using crawlersim::JsonObject;
 }
 
 /// The original query request plus the partial flag, so a shard answers the
-/// mergeable fragment instead of a finalized result.
+/// mergeable fragment as JSON instead of a finalized result.
 [[nodiscard]] net::HttpRequest with_partial_flag(const net::HttpRequest& request) {
   net::HttpRequest out = request;
   if (request.method == "POST") {
@@ -68,6 +68,33 @@ using crawlersim::JsonObject;
     out.target += out.target.find('?') == std::string::npos ? "?partial=1" : "&partial=1";
   }
   return out;
+}
+
+/// The typed call of an upstream registered with an HTTP call alone: asks
+/// for the JSON partial form and decodes it. A body that does not decode is
+/// refused 502 bad_upstream_body.
+[[nodiscard]] FederationGateway::PartialCall json_partial_adapter(
+    FederationGateway::Call call) {
+  return [call = std::move(call)](const net::HttpRequest& request) {
+    crawlersim::PartialResponse answer;
+    net::HttpResponse response = call(with_partial_flag(request));
+    if (response.status != 200) {
+      answer.refusal = std::move(response);
+      return answer;
+    }
+    const auto document = crawlersim::parse_json(response.body);
+    if (!document || !document->is_object()) {
+      answer.refusal = error_response(502, "bad_upstream_body", "unparseable shard partial");
+      return answer;
+    }
+    try {
+      answer.partial = std::make_shared<const query::PartialAggregate>(
+          crawlersim::partial_from_json(*document));
+    } catch (const query::QueryError& error) {
+      answer.refusal = error_response(502, "bad_upstream_body", error.what());
+    }
+    return answer;
+  };
 }
 
 /// gateway_requests_total labels, indexed by FederationGateway::Outcome.
@@ -99,17 +126,20 @@ FederationGateway::FederationGateway(GatewayOptions options)
   hedges_cancelled_ = &registry_.counter("gateway_hedges_total", "cancelled");
 }
 
-void FederationGateway::add_upstream(const std::string& id, Call call) {
+void FederationGateway::add_upstream(const std::string& id, Call call, PartialCall partial) {
+  if (!partial) partial = json_partial_adapter(call);
   const std::unique_lock lock(upstreams_mutex_);
   for (auto& upstream : upstreams_) {
     if (upstream->id == id) {
       upstream->call = std::move(call);
+      upstream->partial = std::move(partial);
       return;
     }
   }
   auto upstream = std::make_unique<Upstream>();
   upstream->id = id;
   upstream->call = std::move(call);
+  upstream->partial = std::move(partial);
   net::AdmissionOptions admission = options_.admission;
   if (admission.clock == nullptr) admission.clock = options_.clock;
   upstream->admission = std::make_unique<net::AdmissionController>(admission);
@@ -202,7 +232,8 @@ FederationGateway::Routed FederationGateway::dispatch(const net::HttpRequest& re
 // ---- upstream calls --------------------------------------------------------
 
 FederationGateway::Attempt FederationGateway::exchange(Upstream& upstream,
-                                                       const net::HttpRequest& request) {
+                                                       const net::HttpRequest& request,
+                                                       CallKind kind) {
   Attempt attempt;
   const auto start = chaos::now_or_real(options_.clock);
   chaos::Fault fault;
@@ -228,7 +259,18 @@ FederationGateway::Attempt FederationGateway::exchange(Upstream& upstream,
       [[fallthrough]];
     default:
       try {
-        attempt.response = upstream.call(request);
+        if (kind == CallKind::kHttp) {
+          attempt.response = upstream.call(request);
+        } else {
+          crawlersim::PartialResponse answer = upstream.partial(request);
+          attempt.partial = std::move(answer.partial);
+          if (attempt.partial == nullptr) {
+            attempt.response = answer.refusal.status == 200
+                                   ? error_response(502, "bad_upstream_body",
+                                                    "shard answered no partial")
+                                   : std::move(answer.refusal);
+          }
+        }
       } catch (...) {
         attempt.transport = true;
       }
@@ -273,7 +315,7 @@ void FederationGateway::record_latency(Upstream& upstream, std::chrono::nanoseco
 }
 
 FederationGateway::CallResult FederationGateway::call_upstream(
-    Upstream& upstream, const net::HttpRequest& request) {
+    Upstream& upstream, const net::HttpRequest& request, CallKind kind) {
   CallResult result;
   const std::size_t depth = upstream.in_flight.load(std::memory_order_relaxed);
   if (upstream.admission->admit(depth) != net::AdmissionDecision::kAdmit) {
@@ -287,7 +329,7 @@ FederationGateway::CallResult FederationGateway::call_upstream(
   }
   upstream.in_flight.fetch_add(1, std::memory_order_acq_rel);
 
-  Attempt primary = exchange(upstream, request);
+  Attempt primary = exchange(upstream, request, kind);
   Attempt* winner = &primary;
   std::chrono::nanoseconds effective = primary.latency;
   bool hedged = false;
@@ -299,7 +341,7 @@ FederationGateway::CallResult FederationGateway::call_upstream(
     // either at the hedge delay (slow primary) or the moment the primary's
     // transport failure surfaces, whichever the timeline dictates.
     hedged = true;
-    hedge = exchange(upstream, request);
+    hedge = exchange(upstream, request, kind);
     const auto issued = primary.transport ? std::min(primary.latency, *delay) : *delay;
     const auto hedge_done = issued + hedge.latency;
     const bool primary_wins =
@@ -347,16 +389,17 @@ FederationGateway::CallResult FederationGateway::call_upstream(
 
   result.status = winner->transport ? CallStatus::kTransport : CallStatus::kOk;
   result.response = std::move(winner->response);
+  result.partial = std::move(winner->partial);
   result.latency = effective;
   return result;
 }
 
 std::vector<FederationGateway::CallResult> FederationGateway::scatter(
-    const net::HttpRequest& request) {
+    const net::HttpRequest& request, CallKind kind) {
   std::vector<CallResult> results;
   results.reserve(upstreams_.size());
   for (const auto& upstream : upstreams_) {
-    results.push_back(call_upstream(*upstream, request));
+    results.push_back(call_upstream(*upstream, request, kind));
   }
   return results;
 }
@@ -447,8 +490,9 @@ FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& r
   const auto results = scatter(request);
   if (auto error = scatter_error(results)) return std::move(*error);
   std::uint64_t downloads = 0;
+  std::optional<Json> first;
   for (const auto& result : results) {
-    const auto document = crawlersim::parse_json(result.response.body);
+    auto document = crawlersim::parse_json(result.response.body);
     if (!document || !document->is_object()) {
       return {error_response(502, "bad_upstream_body", "unparseable shard response"),
               Outcome::kHttp5xx};
@@ -459,9 +503,10 @@ FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& r
               Outcome::kHttp5xx};
     }
     downloads += field->as_u64();
+    if (!first) first = std::move(document);
   }
   // Entity fields are replicated; only the download count is sharded.
-  JsonObject merged = crawlersim::parse_json(results.front().response.body)->as_object();
+  JsonObject merged = first->as_object();
   for (auto& member : merged) {
     if (member.first == "downloads") member.second = Json(downloads);
   }
@@ -570,32 +615,17 @@ FederationGateway::Routed FederationGateway::route_query(const net::HttpRequest&
   if (const auto user = query::single_user_route(spec)) {
     return route_single(request, static_cast<std::uint64_t>(*user));
   }
-  const auto results = scatter(with_partial_flag(request));
+  // Every shard answers its typed fragment (a 200 result always carries one).
+  const auto results = scatter(request, CallKind::kPartial);
   if (auto error = scatter_error(results)) return std::move(*error);
 
-  std::vector<query::PartialAggregate> partials;
+  std::vector<const query::PartialAggregate*> partials;
   partials.reserve(results.size());
-  market::Day day = 0;
-  for (const auto& result : results) {
-    const auto document = crawlersim::parse_json(result.response.body);
-    if (!document || !document->is_object()) {
-      return {error_response(502, "bad_upstream_body", "unparseable shard partial"),
-              Outcome::kHttp5xx};
-    }
-    if (const Json* shard_day = document->find("day");
-        shard_day != nullptr && shard_day->is_number()) {
-      day = static_cast<market::Day>(shard_day->as_number());
-    }
-    try {
-      partials.push_back(crawlersim::partial_from_json(*document));
-    } catch (const query::QueryError& error) {
-      return {error_response(502, "bad_upstream_body", error.what()), Outcome::kHttp5xx};
-    }
-  }
+  for (const auto& result : results) partials.push_back(result.partial.get());
   try {
     const query::QueryResult merged = query::merge_partials(spec, partials);
-    return classify(
-        net::HttpResponse::json(200, crawlersim::query_result_json(merged, day).dump()));
+    return classify(net::HttpResponse::json(
+        200, crawlersim::query_result_json(merged, partials.back()->day).dump()));
   } catch (const query::QueryError& error) {
     return {error_response(502, "shard_divergence", error.what()), Outcome::kHttp5xx};
   }

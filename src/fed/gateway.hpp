@@ -19,12 +19,23 @@
 //                                 slice the requested page
 //   /api/v1/query              -> a filter pinning user == K routes the
 //                                 whole query to K's ring owner; otherwise
-//                                 every shard answers the mergeable partial
-//                                 form (?partial=1) and the gateway
+//                                 every shard answers its typed mergeable
+//                                 query::PartialAggregate and the gateway
 //                                 finalizes via query::merge_partials — the
 //                                 same code path a single store's engine
 //                                 runs, which is what makes federated
 //                                 answers bit-exact (docs/federation.md)
+//
+// Partials travel typed. An upstream registers an HTTP call and, optionally,
+// a typed partial call (Federation::attach registers the shard service's
+// AppstoreService::respond_partial), so an in-process scatter query is never
+// serialized to JSON and parsed back. An upstream registered with the HTTP
+// call alone gets an adapter as its typed call: it asks for the JSON partial
+// form (?partial=1 / "partial": true) and decodes it, answering 502
+// bad_upstream_body when the body does not decode. The router sees typed
+// partials only; what the upstream registered decides the path. Typed calls
+// run through the same breaker, admission, fault seam, hedging and
+// accounting as HTTP calls.
 //
 // Per-upstream protection reuses the existing primitives: a
 // net::CircuitBreaker per shard held in a bounded net::UpstreamTable, and a
@@ -57,6 +68,7 @@
 
 #include "chaos/clock.hpp"
 #include "chaos/fault.hpp"
+#include "crawler/service.hpp"
 #include "fed/ring.hpp"
 #include "market/types.hpp"
 #include "net/admission.hpp"
@@ -119,12 +131,17 @@ class FederationGateway {
   /// One in-process upstream exchange (typically AppstoreService::respond
   /// bound to a shard service). Throwing means a transport error.
   using Call = std::function<net::HttpResponse(const net::HttpRequest&)>;
+  /// One typed partial exchange for a /api/v1/query request (typically
+  /// AppstoreService::respond_partial). Throwing means a transport error.
+  using PartialCall = std::function<crawlersim::PartialResponse(const net::HttpRequest&)>;
 
   explicit FederationGateway(GatewayOptions options = {});
 
-  /// Registers shard `id` and joins it to the ring. Replaces the Call of an
-  /// existing id (the breaker and latency history survive).
-  void add_upstream(const std::string& id, Call call);
+  /// Registers shard `id` and joins it to the ring. Without a `partial` call
+  /// the gateway decodes `call`'s JSON partial form instead (see above).
+  /// Replaces the calls of an existing id (the breaker and latency history
+  /// survive).
+  void add_upstream(const std::string& id, Call call, PartialCall partial = {});
 
   /// Removes shard `id` from the ring and drops its breaker state.
   /// False when unknown.
@@ -146,6 +163,7 @@ class FederationGateway {
   struct Upstream {
     std::string id;
     Call call;
+    PartialCall partial;
     std::unique_ptr<net::AdmissionController> admission;
     std::atomic<std::size_t> in_flight{0};
 
@@ -167,9 +185,18 @@ class FederationGateway {
     kShed,         ///< not attempted: per-shard admission refused
   };
 
+  /// Which of an upstream's calls an exchange uses.
+  enum class CallKind : std::uint8_t {
+    kHttp = 0,  ///< Upstream::call
+    kPartial,   ///< Upstream::partial
+  };
+
+  /// A typed partial call's fragment travels in `partial` with `response`
+  /// left a bare 200; a refusal travels in `response` like an HTTP answer.
   struct CallResult {
     CallStatus status = CallStatus::kTransport;
     net::HttpResponse response;
+    std::shared_ptr<const query::PartialAggregate> partial;
     std::chrono::nanoseconds latency{0};
   };
 
@@ -177,13 +204,15 @@ class FederationGateway {
   struct Attempt {
     bool transport = false;
     net::HttpResponse response;
+    std::shared_ptr<const query::PartialAggregate> partial;
     std::chrono::nanoseconds latency{0};
   };
-  [[nodiscard]] Attempt exchange(Upstream& upstream, const net::HttpRequest& request);
+  [[nodiscard]] Attempt exchange(Upstream& upstream, const net::HttpRequest& request,
+                                 CallKind kind);
 
   /// Breaker + admission + hedged exchange against one shard.
-  [[nodiscard]] CallResult call_upstream(Upstream& upstream,
-                                         const net::HttpRequest& request);
+  [[nodiscard]] CallResult call_upstream(Upstream& upstream, const net::HttpRequest& request,
+                                         CallKind kind = CallKind::kHttp);
 
   /// The hedge delay for `upstream` (fixed, derived, or nullopt = no hedge).
   [[nodiscard]] std::optional<std::chrono::nanoseconds> hedge_delay(Upstream& upstream);
@@ -191,7 +220,8 @@ class FederationGateway {
 
   /// Scatter `request` to every upstream, sequentially in ring-membership
   /// order (deterministic upstream call order — what the chaos tests use).
-  [[nodiscard]] std::vector<CallResult> scatter(const net::HttpRequest& request);
+  [[nodiscard]] std::vector<CallResult> scatter(const net::HttpRequest& request,
+                                                CallKind kind = CallKind::kHttp);
 
   /// Outcome classification of one gateway response — tagged explicitly at
   /// the point the response is built (a 503 alone cannot tell breaker_open

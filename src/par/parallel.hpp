@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -79,7 +80,9 @@ template <typename T, typename Fn>
 ///   partial[s] = combine(...combine(identity, map(i))...) over shard s
 ///   result     = combine(...combine(identity, partial[0])..., partial[n-1])
 /// Deterministic for a fixed grain even when combine is not associative in
-/// floating point.
+/// floating point. Accumulators are moved, never copied, into combine (take
+/// them by value to reuse their storage); only the identity is copied, once
+/// per shard.
 template <typename T, typename MapFn, typename CombineFn>
 [[nodiscard]] T parallel_reduce(std::uint64_t count, T identity, const Options& options,
                                 MapFn&& map, CombineFn&& combine) {
@@ -88,11 +91,13 @@ template <typename T, typename MapFn, typename CombineFn>
   for_shards(count, options,
              [&](std::uint64_t begin, std::uint64_t end, std::size_t shard) {
                T acc = identity;
-               for (std::uint64_t i = begin; i < end; ++i) acc = combine(acc, map(i));
-               partials[shard] = acc;
+               for (std::uint64_t i = begin; i < end; ++i) {
+                 acc = combine(std::move(acc), map(i));
+               }
+               partials[shard] = std::move(acc);
              });
-  T result = identity;
-  for (const T& partial : partials) result = combine(result, partial);
+  T result = std::move(identity);
+  for (T& partial : partials) result = combine(std::move(result), std::move(partial));
   return result;
 }
 

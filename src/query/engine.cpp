@@ -220,6 +220,7 @@ PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day
 
   PartialAggregate partial;
   partial.kind = spec.kind;
+  partial.day = day;
   partial.index_scans = plan.index_scans;
   partial.column_scans = plan.column_scans;
   partial.residual_filters = plan.residual_filters;
@@ -233,12 +234,15 @@ PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day
   } else {
     const std::vector<std::uint64_t> counts = count_downloads(log, rows, day);
     partial.app_count = counts.size();
+    // Exactly sized: a cached fragment holds no spare capacity.
+    partial.counts.reserve(static_cast<std::size_t>(
+        std::count_if(counts.begin(), counts.end(), [](std::uint64_t c) { return c > 0; })));
     for (std::size_t app = 0; app < counts.size(); ++app) {
-      if (counts[app] > 0) {
-        partial.counts.emplace_back(static_cast<std::uint32_t>(app), counts[app]);
-      }
+      if (counts[app] == 0) continue;
+      partial.counts.emplace_back(static_cast<std::uint32_t>(app),
+                                  static_cast<std::uint32_t>(counts[app]));
+      partial.rows_selected += counts[app];
     }
-    for (const auto& [app, count] : partial.counts) partial.rows_selected += count;
   }
   return partial;
 }
@@ -314,9 +318,10 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
       break;
     }
     case AggregateKind::kParetoShare: {
-      std::vector<double> as_double(counts.begin(), counts.end());
-      for (const double fraction : spec.fractions) {
-        result.pareto.push_back({fraction, stats::top_share(as_double, fraction)});
+      const std::vector<double> as_double(counts.begin(), counts.end());
+      const std::vector<double> shares = stats::top_shares(as_double, spec.fractions);
+      for (std::size_t i = 0; i < shares.size(); ++i) {
+        result.pareto.push_back({spec.fractions[i], shares[i]});
       }
       break;
     }

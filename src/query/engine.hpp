@@ -119,6 +119,8 @@ struct AffinityUserSample {
 /// shard, since entity state is replicated).
 struct PartialAggregate {
   AggregateKind kind = AggregateKind::kTopKDownloads;
+  /// The day bound the fragment was aggregated up to.
+  market::Day day = 0;
 
   std::uint32_t index_scans = 0;
   std::uint32_t column_scans = 0;
@@ -126,9 +128,11 @@ struct PartialAggregate {
   std::uint64_t rows_total = 0;
   std::uint64_t rows_selected = 0;
 
-  /// Download kinds: dense per-app vector length and its non-zero entries.
+  /// Download kinds: dense per-app vector length and its non-zero entries,
+  /// sized exactly. A count fits 32 bits: it cannot exceed the shard's row
+  /// count, and rows are 32-bit ids (RowSet::rows).
   std::uint64_t app_count = 0;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> counts;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> counts;
 
   /// Affinity: per-depth random-walk baseline (aligned with spec.depths) and
   /// the per-user samples in ascending user order.

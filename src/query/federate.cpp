@@ -26,31 +26,31 @@ namespace {
 }  // namespace
 
 QueryResult merge_partials(const QuerySpec& spec,
-                           std::span<const PartialAggregate> partials) {
+                           std::span<const PartialAggregate* const> partials) {
   if (partials.empty()) {
     throw QueryError("merge_mismatch", "merge: no shard partials to combine");
   }
   QueryResult result;
   result.kind = spec.kind;
-  for (const PartialAggregate& partial : partials) {
-    if (partial.kind != spec.kind) {
+  for (const PartialAggregate* partial : partials) {
+    if (partial->kind != spec.kind) {
       throw QueryError("merge_mismatch",
                        util::format("merge: partial kind '{}' does not match query '{}'",
-                                    to_string(partial.kind), to_string(spec.kind)));
+                                    to_string(partial->kind), to_string(spec.kind)));
     }
-    result.index_scans += partial.index_scans;
-    result.column_scans += partial.column_scans;
-    result.residual_filters += partial.residual_filters;
-    result.rows_total += partial.rows_total;
+    result.index_scans += partial->index_scans;
+    result.column_scans += partial->column_scans;
+    result.residual_filters += partial->residual_filters;
+    result.rows_total += partial->rows_total;
   }
 
   if (spec.kind == AggregateKind::kCategoryAffinity) {
-    for (const PartialAggregate& partial : partials) {
-      result.rows_selected += partial.rows_selected;
+    for (const PartialAggregate* partial : partials) {
+      result.rows_selected += partial->rows_selected;
     }
     std::vector<AffinityUserSample> samples;
-    for (const PartialAggregate& partial : partials) {
-      samples.insert(samples.end(), partial.samples.begin(), partial.samples.end());
+    for (const PartialAggregate* partial : partials) {
+      samples.insert(samples.end(), partial->samples.begin(), partial->samples.end());
     }
     // Users are sharded, so every user appears in exactly one partial and
     // sorting by user id reconstructs the global iteration order of a
@@ -59,21 +59,21 @@ QueryResult merge_partials(const QuerySpec& spec,
               [](const AffinityUserSample& a, const AffinityUserSample& b) {
                 return a.user < b.user;
               });
-    finalize_affinity(spec, samples, partials.front().random_walk, result);
+    finalize_affinity(spec, samples, partials.front()->random_walk, result);
     return result;
   }
 
-  const std::uint64_t app_count = partials.front().app_count;
-  for (const PartialAggregate& partial : partials) {
-    if (partial.app_count != app_count) {
+  const std::uint64_t app_count = partials.front()->app_count;
+  for (const PartialAggregate* partial : partials) {
+    if (partial->app_count != app_count) {
       throw QueryError("merge_mismatch",
                        util::format("merge: shard app universes differ ({} vs {})",
-                                    partial.app_count, app_count));
+                                    partial->app_count, app_count));
     }
   }
   std::vector<std::uint64_t> counts(app_count, 0);
-  for (const PartialAggregate& partial : partials) {
-    for (const auto& [app, count] : partial.counts) {
+  for (const PartialAggregate* partial : partials) {
+    for (const auto& [app, count] : partial->counts) {
       if (app >= app_count) {
         throw QueryError("merge_mismatch",
                          util::format("merge: app {} outside universe of {}", app, app_count));

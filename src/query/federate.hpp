@@ -28,12 +28,13 @@
 
 namespace appstore::query {
 
-/// Merges shard partials into the federated answer. All partials must share
+/// Merges shard partials (non-null, typically held by the shards' response
+/// caches) into the federated answer. All partials must share
 /// the query's kind and (for download kinds) the same dense app universe;
 /// a mismatch throws QueryError("merge_mismatch") — it means the shards
 /// were built from different store configurations. Throws on an empty span.
 [[nodiscard]] QueryResult merge_partials(const QuerySpec& spec,
-                                         std::span<const PartialAggregate> partials);
+                                         std::span<const PartialAggregate* const> partials);
 
 /// Returns the user id when the spec's filter pins the query to exactly one
 /// user: a `user == K` comparison either as the whole filter or as a direct

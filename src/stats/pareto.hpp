@@ -24,6 +24,11 @@ struct ShareCurvePoint {
 /// Share of total held by the top `top_fraction` (0..1] of items.
 [[nodiscard]] double top_share(std::span<const double> counts, double top_fraction);
 
+/// top_share for each of `top_fractions`, over one descending sort of
+/// `counts`; element i is bit-identical to top_share(counts, top_fractions[i]).
+[[nodiscard]] std::vector<double> top_shares(std::span<const double> counts,
+                                             std::span<const double> top_fractions);
+
 /// Lorenz curve: (population fraction, cumulative share) sorted ascending —
 /// the standard inequality representation, complementary to share_curve.
 struct LorenzPoint {

@@ -2,6 +2,11 @@
 // crawl database, and the end-to-end crawler with proxy rotation.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
 #include "crawler/apk.hpp"
 #include "crawler/crawler.hpp"
 #include "crawler/database.hpp"
@@ -10,6 +15,7 @@
 #include "obs/registry.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
+#include "util/rng.hpp"
 
 namespace appstore::crawlersim {
 namespace {
@@ -23,6 +29,57 @@ TEST(Json, DumpPrimitives) {
   EXPECT_EQ(Json(42).dump(), "42");
   EXPECT_EQ(Json(1.5).dump(), "1.5");
   EXPECT_EQ(Json("hi").dump(), "\"hi\"");
+}
+
+/// The writer's documented number format: printf "%.0f" for integral values
+/// below 2^53, "%.17g" otherwise, "null" for NaN and infinities.
+std::string printf_number(double value) {
+  if (std::isnan(value) || std::isinf(value)) return "null";
+  char buffer[32];
+  if (value == std::floor(value) && std::fabs(value) < 9.007199254740992e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", value);
+  } else {
+    std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  }
+  return buffer;
+}
+
+TEST(Json, NumbersMatchPrintfFormatting) {
+  const double two53 = 9007199254740992.0;
+  const std::vector<double> edges = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.5, 0.1, 1.0 / 3.0, two53 - 1, -(two53 - 1),
+      two53, two53 + 2, -two53, 1e15 + 0.5, 1e16, 1e17, 1e21, 1e22, 1e300, -1e300,
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 1e-310, -2.5e-320, 4.9406564584124654e-324,
+      std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (const double value : edges) {
+    EXPECT_EQ(Json(value).dump(), printf_number(value)) << printf_number(value);
+  }
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+
+  // Seeded sweep over every shape the service emits: raw bit patterns (all
+  // exponents, subnormals included), integers up to 2^53, dyadic fractions
+  // and uniform doubles across scales.
+  util::Rng rng(0x6a50);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    double value = 0.0;
+    switch (i % 4) {
+      case 0: value = std::bit_cast<double>(rng()); break;
+      case 1:
+        value = static_cast<double>(static_cast<std::int64_t>(rng() >> 10)) *
+                (rng.chance(0.5) ? 1.0 : -1.0);
+        break;
+      case 2: value = static_cast<double>(rng() >> 40) / 1024.0; break;
+      default: value = rng.uniform() * std::pow(10.0, rng.uniform(-30.0, 30.0)); break;
+    }
+    if (Json(value).dump() != printf_number(value) && ++mismatches <= 5) {
+      ADD_FAILURE() << printf_number(value) << " dumped as " << Json(value).dump();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, DumpEscapes) {

@@ -16,9 +16,16 @@
 //     and land inside the same checked-in goldens golden_test pins.
 //   * net::UpstreamTable — the per-upstream breaker table stays bounded
 //     under membership churn (the TokenBucketLimiter eviction policy).
+//   * Typed partials — gateways over Federation::attach (typed
+//     respond_partial calls) and over HTTP-only upstreams (the JSON adapter)
+//     answer byte-identical bodies and identical refusal outcomes; a typed
+//     call is a shard cache hit the second time, and a fragment the gateway
+//     holds outlives the shard cache's clear at capacity, also while other
+//     threads sweep the cache.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -26,12 +33,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "chaos/clock.hpp"
 #include "chaos/fault.hpp"
 #include "crawler/json.hpp"
+#include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
 #include "fed/federation.hpp"
 #include "fed/gateway.hpp"
@@ -501,6 +510,20 @@ TEST(Gateway, AccountingInvariantHoldsUnderFaultPlanLoad) {
 
 // ---- cross-shard parity against the single store and the goldens -----------------
 
+/// A gateway over `federation` whose upstreams register respond() alone, so
+/// scatter queries take the JSON adapter instead of respond_partial().
+[[nodiscard]] std::unique_ptr<fed::FederationGateway> http_only_gateway(
+    const fed::Federation& federation, fed::GatewayOptions options = {}) {
+  auto gateway = std::make_unique<fed::FederationGateway>(std::move(options));
+  for (std::size_t i = 0; i < federation.services.size(); ++i) {
+    crawlersim::AppstoreService* service = federation.services[i].get();
+    gateway->add_upstream(federation.shard_ids[i], [service](const net::HttpRequest& request) {
+      return service->respond(request);
+    });
+  }
+  return gateway;
+}
+
 class FederationParity : public ::testing::Test {
  protected:
   struct World {
@@ -509,6 +532,8 @@ class FederationParity : public ::testing::Test {
     std::vector<std::size_t> shard_counts{1, 2, 4};
     std::vector<fed::Federation> federations;
     std::vector<std::unique_ptr<fed::FederationGateway>> gateways;
+    /// The same shards registered with their HTTP call alone (JSON adapter).
+    std::vector<std::unique_ptr<fed::FederationGateway>> http_gateways;
   };
 
   static void SetUpTestSuite() {
@@ -538,6 +563,8 @@ class FederationParity : public ::testing::Test {
           fed::GatewayOptions{.ring = options.ring});
       world_->federations.back().attach(*gateway);
       world_->gateways.push_back(std::move(gateway));
+      world_->http_gateways.push_back(http_only_gateway(
+          world_->federations.back(), fed::GatewayOptions{.ring = options.ring}));
     }
   }
 
@@ -789,6 +816,41 @@ TEST_F(FederationParity, SingleUserQueryRoutesToOneShard) {
             expected.at("total_downloads").as_u64());
 }
 
+TEST_F(FederationParity, HttpOnlyUpstreamsAnswerByteIdenticalBodies) {
+  // Every scatter query above, plus top-k and one POST: the typed exchange
+  // and the JSON adapter must merge to the same bytes at every shard count.
+  std::vector<net::HttpRequest> requests;
+  for (const std::string target : {
+           "/api/v1/query?kind=pareto_share",
+           "/api/v1/query?kind=category_affinity&depths=1,2,3",
+           "/api/v1/query?kind=category_affinity&depths=1,2,3&min_samples=1",
+           "/api/v1/query?kind=category_affinity&depths=1&min_samples=1",
+           "/api/v1/query?kind=rank_download_curve&points=50",
+           "/api/v1/query?kind=top_k_downloads&k=20",
+       }) {
+    requests.push_back(get(target));
+  }
+  net::HttpRequest post = get("/api/v1/query");
+  post.method = "POST";
+  post.body =
+      "{\"kind\": \"top_k_downloads\", \"k\": 7, "
+      "\"filter\": {\"field\": \"day\", \"op\": \"<=\", \"value\": 60}}";
+  requests.push_back(post);
+
+  for (const net::HttpRequest& request : requests) {
+    const auto expected = world_->service->respond(request);
+    ASSERT_EQ(expected.status, 200) << request.target << " " << expected.body;
+    for (std::size_t i = 0; i < world_->shard_counts.size(); ++i) {
+      const auto typed = world_->gateways[i]->respond(request);
+      const auto adapted = world_->http_gateways[i]->respond(request);
+      ASSERT_EQ(typed.status, 200) << typed.body;
+      ASSERT_EQ(adapted.status, 200) << adapted.body;
+      EXPECT_EQ(typed.body, adapted.body)
+          << world_->shard_counts[i] << " shards, " << request.target << request.body;
+    }
+  }
+}
+
 TEST_F(FederationParity, ShardUnionMatchesSingleStoreEventCounts) {
   // The bring-up contract behind all of the above: disjoint user slices
   // whose union is the whole store.
@@ -799,6 +861,266 @@ TEST_F(FederationParity, ShardUnionMatchesSingleStoreEventCounts) {
       downloads += generated.store->total_downloads();
     }
     EXPECT_EQ(downloads, single_downloads) << world_->shard_counts[i] << " shards";
+  }
+}
+
+// ---- typed partial exchange ------------------------------------------------------
+
+[[nodiscard]] fed::Federation small_federation(const crawlersim::ServicePolicy& policy,
+                                               std::size_t shards = 2) {
+  synth::GeneratorConfig config = golden_config();
+  config.app_scale = 0.005;
+  fed::FederationOptions options;
+  options.profile = synth::anzhi();
+  options.config = config;
+  options.shards = shards;
+  options.policy = policy;
+  options.day = kEndOfHistory;
+  return fed::build_federation(options);
+}
+
+[[nodiscard]] crawlersim::ServicePolicy unlimited_policy() {
+  crawlersim::ServicePolicy policy;
+  policy.rate_per_second = 1e9;
+  policy.burst = 1e9;
+  return policy;
+}
+
+[[nodiscard]] std::uint64_t counter_value(const obs::Registry& registry,
+                                          std::string_view name, std::string_view label) {
+  const obs::Snapshot snapshot = registry.snapshot();
+  const obs::CounterSample* sample = snapshot.find_counter(name, label);
+  return sample == nullptr ? 0 : sample->value;
+}
+
+void expect_same_partial(const query::PartialAggregate& a, const query::PartialAggregate& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.day, b.day);
+  EXPECT_EQ(a.rows_total, b.rows_total);
+  EXPECT_EQ(a.rows_selected, b.rows_selected);
+  EXPECT_EQ(a.app_count, b.app_count);
+  EXPECT_EQ(a.counts, b.counts);
+}
+
+TEST(TypedPartials, GatewayUsesTheRegisteredCall) {
+  // With a typed call registered, scatter queries never touch the HTTP
+  // call; without one, the adapter asks the HTTP call for the JSON form.
+  const fed::Federation federation = small_federation(unlimited_policy(), 1);
+  crawlersim::AppstoreService* service = federation.services.front().get();
+  std::vector<std::string> http_targets;
+  std::size_t typed_calls = 0;
+  const fed::FederationGateway::Call http = [&](const net::HttpRequest& request) {
+    http_targets.push_back(request.target);
+    return service->respond(request);
+  };
+
+  fed::FederationGateway typed;
+  typed.add_upstream("shard-0", http, [&](const net::HttpRequest& request) {
+    ++typed_calls;
+    return service->respond_partial(request);
+  });
+  ASSERT_EQ(typed.respond(get("/api/v1/query?kind=pareto_share")).status, 200);
+  EXPECT_EQ(typed_calls, 1u);
+  EXPECT_TRUE(http_targets.empty());
+  ASSERT_EQ(typed.respond(get("/api/v1/meta")).status, 200);
+  EXPECT_EQ(typed_calls, 1u);
+  EXPECT_EQ(http_targets, std::vector<std::string>{"/api/v1/meta"});
+
+  http_targets.clear();
+  fed::FederationGateway adapted;
+  adapted.add_upstream("shard-0", http);
+  ASSERT_EQ(adapted.respond(get("/api/v1/query?kind=pareto_share")).status, 200);
+  EXPECT_EQ(http_targets,
+            std::vector<std::string>{"/api/v1/query?kind=pareto_share&partial=1"});
+
+  // Federation::attach registers the typed call: the scatter leaves the
+  // shard's typed fragment cached for the next respond_partial.
+  fed::FederationGateway attached;
+  federation.attach(attached);
+  const net::HttpRequest curve = get("/api/v1/query?kind=rank_download_curve");
+  ASSERT_EQ(attached.respond(curve).status, 200);
+  const std::uint64_t hits =
+      counter_value(service->metrics(), "service_response_cache_total", "hit");
+  ASSERT_NE(service->respond_partial(curve).partial, nullptr);
+  EXPECT_EQ(counter_value(service->metrics(), "service_response_cache_total", "hit"), hits + 1);
+}
+
+TEST(TypedPartials, UndecodableJsonPartialIs502) {
+  fed::FederationGateway gateway;
+  gateway.add_upstream("shard-0", [](const net::HttpRequest&) {
+    return net::HttpResponse::json(200, "{\"kind\": \"pareto_share\", \"partial\": true}");
+  });
+  const auto response = gateway.respond(get("/api/v1/query?kind=pareto_share"));
+  EXPECT_EQ(response.status, 502);
+  EXPECT_NE(response.body.find("bad_upstream_body"), std::string::npos) << response.body;
+  EXPECT_EQ(gateway.stats().http_5xx, 1u);
+  expect_fully_accounted(gateway.stats());
+}
+
+TEST(TypedPartials, RefusalsMatchTheHttpPathOutcomes) {
+  const auto same_outcome = [](const fed::Federation& federation,
+                               const fed::GatewayOptions& typed_options,
+                               const fed::GatewayOptions& http_options,
+                               const std::string& label) {
+    fed::FederationGateway typed(typed_options);
+    federation.attach(typed);
+    const auto http = http_only_gateway(federation, http_options);
+    for (const std::string target : {"/api/v1/query?kind=pareto_share",
+                                     "/api/v1/query?kind=category_affinity"}) {
+      const auto via_typed = typed.respond(get(target));
+      const auto via_http = http->respond(get(target));
+      EXPECT_GE(via_typed.status, 400) << label;
+      EXPECT_EQ(via_typed.status, via_http.status) << label << " " << target;
+      EXPECT_EQ(via_typed.body, via_http.body) << label << " " << target;
+    }
+    const fed::GatewayStats a = typed.stats();
+    const fed::GatewayStats b = http->stats();
+    EXPECT_EQ(std::tie(a.requests, a.ok, a.http_4xx, a.http_5xx, a.transport,
+                       a.breaker_open, a.shed, a.upstream_calls),
+              std::tie(b.requests, b.ok, b.http_4xx, b.http_5xx, b.transport,
+                       b.breaker_open, b.shed, b.upstream_calls))
+        << label;
+    expect_fully_accounted(a);
+  };
+
+  // Refusals by the shard's own policy gates.
+  crawlersim::ServicePolicy rate_limited;
+  rate_limited.rate_per_second = 1e-6;
+  rate_limited.burst = 0;
+  crawlersim::ServicePolicy region_gated = unlimited_policy();
+  region_gated.china_only = true;
+  crawlersim::ServicePolicy failing = unlimited_policy();
+  failing.failure_rate = 1.0;
+  for (const auto& [policy, label] :
+       {std::pair{rate_limited, "429 rate limit"}, std::pair{region_gated, "403 region"},
+        std::pair{failing, "500 injected by the shard"}}) {
+    same_outcome(small_federation(policy), {}, {}, label);
+  }
+
+  // Refusals injected at the gateway's exchange seam.
+  const fed::Federation federation = small_federation(unlimited_policy());
+  for (const chaos::FaultKind kind :
+       {chaos::FaultKind::kHttp429, chaos::FaultKind::kHttp403, chaos::FaultKind::kHttp500,
+        chaos::FaultKind::kConnectionReset}) {
+    chaos::FaultPlan plan;
+    plan.seed = 3;
+    plan.max_faults_per_key = 0;
+    plan.rules.push_back({chaos::FaultSite::kExchange, kind, 1.0, 0ms});
+    chaos::FaultInjector typed_faults(plan);
+    chaos::FaultInjector http_faults(plan);
+    fed::GatewayOptions typed_options;
+    typed_options.faults = &typed_faults;
+    fed::GatewayOptions http_options;
+    http_options.faults = &http_faults;
+    same_outcome(federation, typed_options, http_options,
+                 util::format("fault kind {}", static_cast<int>(kind)));
+  }
+}
+
+TEST(TypedPartials, RepeatedTypedCallIsAShardCacheHit) {
+  const fed::Federation federation = small_federation(unlimited_policy(), 1);
+  crawlersim::AppstoreService& service = *federation.services.front();
+  const net::HttpRequest request = get("/api/v1/query?kind=pareto_share");
+
+  const crawlersim::PartialResponse first = service.respond_partial(request);
+  ASSERT_NE(first.partial, nullptr) << first.refusal.body;
+  const std::uint64_t hits = counter_value(service.metrics(), "service_response_cache_total", "hit");
+  const std::uint64_t queries =
+      counter_value(service.metrics(), "query_requests_total", "pareto_share");
+  EXPECT_EQ(queries, 1u);
+
+  const crawlersim::PartialResponse second = service.respond_partial(request);
+  EXPECT_EQ(second.partial, first.partial);  // the cached fragment itself
+  EXPECT_EQ(counter_value(service.metrics(), "service_response_cache_total", "hit"), hits + 1);
+  EXPECT_EQ(counter_value(service.metrics(), "query_requests_total", "pareto_share"), queries);
+  EXPECT_EQ(counter_value(service.metrics(), "service_requests_total", "query"), 2u);
+
+  // The typed fragment is the JSON partial form, decoded.
+  net::HttpRequest flagged = request;
+  flagged.target += "&partial=1";
+  const auto json = service.respond(flagged);
+  ASSERT_EQ(json.status, 200);
+  expect_same_partial(crawlersim::partial_from_json(*crawlersim::parse_json(json.body)),
+                      *first.partial);
+  EXPECT_EQ(first.partial->day, kEndOfHistory);
+
+  // Non-query endpoints and malformed queries are refused, never cached.
+  EXPECT_EQ(service.respond_partial(get("/api/v1/meta")).refusal.status, 404);
+  const auto bad = service.respond_partial(get("/api/v1/query?kind=nope"));
+  EXPECT_EQ(bad.partial, nullptr);
+  EXPECT_EQ(bad.refusal.status, 400);
+}
+
+TEST(TypedPartials, HeldPartialSurvivesCacheClearAtCapacity) {
+  const fed::Federation federation = small_federation(unlimited_policy(), 1);
+  crawlersim::AppstoreService& service = *federation.services.front();
+  const net::HttpRequest request = get("/api/v1/query?kind=rank_download_curve");
+
+  const std::shared_ptr<const query::PartialAggregate> held =
+      service.respond_partial(request).partial;
+  ASSERT_NE(held, nullptr);
+  const query::PartialAggregate copy = *held;
+  ASSERT_FALSE(copy.counts.empty());
+
+  // 4096 more distinct cacheable targets reach the cache's capacity, and
+  // the next insert clears it — the held fragment's entry included.
+  for (int i = 0; i < 4096; ++i) {
+    ASSERT_EQ(service.respond(get(util::format("/api/v1/meta?sweep={}", i))).status, 200);
+  }
+  const std::uint64_t misses =
+      counter_value(service.metrics(), "service_response_cache_total", "miss");
+  const auto again = service.respond_partial(request);
+  EXPECT_EQ(counter_value(service.metrics(), "service_response_cache_total", "miss"),
+            misses + 1);
+  ASSERT_NE(again.partial, nullptr);
+  EXPECT_NE(again.partial, held);
+  expect_same_partial(*held, copy);
+  expect_same_partial(*again.partial, copy);
+}
+
+TEST(TypedPartials, ConcurrentCallersKeepFragmentsAcrossCacheClears) {
+  // Callers on several threads hold fragments while others sweep the cache
+  // past capacity; under the sanitizer presets a fragment freed by a clear
+  // while still held, or a racy cache entry, fails this test.
+  const fed::Federation federation = small_federation(unlimited_policy(), 1);
+  crawlersim::AppstoreService& service = *federation.services.front();
+  const query::PartialAggregate expected =
+      *service.respond_partial(get("/api/v1/query?kind=top_k_downloads")).partial;
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 1500; ++i) {
+        const auto held = service.respond_partial(get("/api/v1/query?kind=top_k_downloads"));
+        (void)service.respond(get(util::format("/api/v1/meta?t={}&i={}", t, i)));
+        if (held.partial == nullptr || held.partial->counts != expected.counts) ++wrong;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
+TEST(TypedPartials, JsonFormRejectsCountsBeyond32Bits) {
+  query::PartialAggregate partial;
+  partial.kind = query::AggregateKind::kTopKDownloads;
+  partial.day = 42;
+  partial.app_count = 3;
+  partial.counts = {{0, 7}, {2, 4294967295u}};
+  const crawlersim::Json document = crawlersim::query_partial_json(partial);
+  expect_same_partial(crawlersim::partial_from_json(document), partial);
+
+  for (const std::string counts : {"[[0, 4294967296]]", "[[0, -1]]", "[[4294967296, 1]]"}) {
+    const auto parsed = crawlersim::parse_json(
+        "{\"kind\": \"top_k_downloads\", \"partial\": true, \"app_count\": 3, "
+        "\"counts\": " + counts + "}");
+    ASSERT_TRUE(parsed.has_value());
+    try {
+      (void)crawlersim::partial_from_json(*parsed);
+      ADD_FAILURE() << counts << " was accepted";
+    } catch (const query::QueryError& error) {
+      EXPECT_EQ(error.code(), "bad_partial") << counts;
+    }
   }
 }
 

@@ -99,6 +99,49 @@ TEST(ParallelReduce, FixedGrainMatchesSerialSum) {
   EXPECT_DOUBLE_EQ(sum_with_threads(1), sum_with_threads(8));
 }
 
+/// A concatenating accumulator that counts every copy of accumulated state
+/// (copies of an empty value — the identity seeding each shard — are free by
+/// contract and not counted).
+struct CopyCountingRows {
+  static inline std::atomic<int> copies{0};
+  std::vector<std::uint64_t> rows;
+
+  CopyCountingRows() = default;
+  CopyCountingRows(const CopyCountingRows& other) : rows(other.rows) {
+    if (!rows.empty()) copies.fetch_add(1);
+  }
+  CopyCountingRows& operator=(const CopyCountingRows& other) {
+    rows = other.rows;
+    if (!rows.empty()) copies.fetch_add(1);
+    return *this;
+  }
+  CopyCountingRows(CopyCountingRows&&) noexcept = default;
+  CopyCountingRows& operator=(CopyCountingRows&&) noexcept = default;
+};
+
+TEST(ParallelReduce, MovesAccumulatorsInsteadOfCopying) {
+  // A concatenating reduce (the query column scan's shape) that copied its
+  // accumulator would copy the growing result once per item and per shard:
+  // quadratic in the row count.
+  for (const std::size_t threads : {1u, 4u}) {
+    CopyCountingRows::copies = 0;
+    const CopyCountingRows all = par::parallel_reduce<CopyCountingRows>(
+        1'000, CopyCountingRows{}, par::Options{.threads = threads, .grain = 64},
+        [](std::uint64_t i) {
+          CopyCountingRows one;
+          one.rows.push_back(i);
+          return one;
+        },
+        [](CopyCountingRows acc, CopyCountingRows part) {
+          acc.rows.insert(acc.rows.end(), part.rows.begin(), part.rows.end());
+          return acc;
+        });
+    EXPECT_EQ(CopyCountingRows::copies.load(), 0) << threads << " threads";
+    ASSERT_EQ(all.rows.size(), 1'000u);
+    for (std::uint64_t i = 0; i < all.rows.size(); ++i) ASSERT_EQ(all.rows[i], i);
+  }
+}
+
 TEST(ParallelFor, NestedCallsRunInline) {
   // A pool task issuing its own parallel_for must not deadlock waiting on
   // the pool it is running on; inner calls execute inline on the worker.

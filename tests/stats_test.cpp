@@ -2,7 +2,9 @@
 // alias sampling, Zipf, power-law fitting, correlation, distances, Pareto.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "stats/alias.hpp"
@@ -427,6 +429,38 @@ TEST(Pareto, TopShareKnown) {
   std::vector<double> counts = {91, 1, 1, 1, 1, 1, 1, 1, 1, 1};
   EXPECT_NEAR(top_share(counts, 0.10), 0.91, 1e-12);
   EXPECT_NEAR(top_share(counts, 1.0), 1.0, 1e-12);
+}
+
+TEST(Pareto, TopSharesMatchPerFractionReference) {
+  std::vector<double> counts(6020);
+  util::Rng rng(29);
+  for (auto& count : counts) count = std::floor(1e4 * rng.uniform() * rng.uniform());
+  // Reference: sort descending, then the left-to-right sum of the top
+  // ceil(fraction * n) items over the left-to-right total.
+  std::vector<double> sorted = counts;
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  const auto reference = [&](double fraction) {
+    if (fraction <= 0.0) return 0.0;
+    const auto k = std::clamp<std::size_t>(
+        static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(sorted.size()))), 1,
+        sorted.size());
+    double top = 0.0;
+    double total = 0.0;
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+      total += sorted[i];
+      if (i + 1 == k) top = total;
+    }
+    return top / total;
+  };
+  const std::vector<double> fractions = {0.01, 0.05, 0.10, 0.20, 0.50, 1.0, 0.0, 1e-9};
+  const std::vector<double> shares = top_shares(counts, fractions);
+  ASSERT_EQ(shares.size(), fractions.size());
+  for (std::size_t i = 0; i < fractions.size(); ++i) {
+    EXPECT_EQ(shares[i], reference(fractions[i])) << fractions[i];
+    EXPECT_EQ(top_share(counts, fractions[i]), shares[i]) << fractions[i];
+  }
+  EXPECT_TRUE(top_shares(counts, {}).empty());
+  EXPECT_EQ(top_shares({}, fractions), std::vector<double>(fractions.size(), 0.0));
 }
 
 TEST(Pareto, ShareCurveMonotone) {

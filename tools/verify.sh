@@ -14,8 +14,9 @@
 #   gameday  scenario + admission suite (default build), then bench_gameday:
 #            exits non-zero if adaptive admission at 2x saturation loses the
 #            queue-delay budget or too much goodput vs the fixed cliff
-#   federation  sharded gateway suite under default AND TSan presets (ring
-#            properties, hedge determinism, cross-shard golden parity), then
+#   federation  sharded gateway suite under default, TSan AND ASan presets
+#            (ring properties, hedge determinism, cross-shard golden parity,
+#            typed partials shared out of the shard caches), then
 #            bench_federation: exits non-zero when a fan-out endpoint's p99
 #            breaches 3x the single-shard p99 at the same offered load
 #   perfbench  configure + build the repo benchmark (perfbench/, its own CMake
@@ -105,13 +106,16 @@ if want gameday; then
 fi
 
 if want federation; then
-  banner "federation: sharded gateway suite (default + TSan), then the fan-out floor"
+  banner "federation: sharded gateway suite (default + TSan + ASan), then the fan-out floor"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS" --target federation_test bench_federation
   ctest --test-dir build -L federation --output-on-failure
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$JOBS" --target federation_test
   ctest --test-dir build-tsan -L federation --output-on-failure
+  cmake --preset asan >/dev/null
+  cmake --build --preset asan -j"$JOBS" --target federation_test
+  ctest --test-dir build-asan -L federation --output-on-failure
   ./build/bench/bench_federation --metrics-out=results/BENCH_federation_metrics.json
 fi
 
