@@ -22,9 +22,7 @@ const Json& Json::at(std::string_view key) const {
   return *value;
 }
 
-namespace {
-
-void write_escaped(std::string& out, std::string_view text) {
+void write_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
   for (const char c : text) {
     switch (c) {
@@ -48,7 +46,7 @@ void write_escaped(std::string& out, std::string_view text) {
   out.push_back('"');
 }
 
-void write_number(std::string& out, double value) {
+void write_json_number(std::string& out, double value) {
   if (std::isnan(value) || std::isinf(value)) {
     out += "null";  // JSON has no NaN/Inf
     return;
@@ -71,17 +69,15 @@ void write_number(std::string& out, double value) {
   out.append(buffer, written.ptr);
 }
 
-}  // namespace
-
 void Json::write(std::string& out) const {
   if (is_null()) {
     out += "null";
   } else if (is_bool()) {
     out += as_bool() ? "true" : "false";
   } else if (is_number()) {
-    write_number(out, as_number());
+    write_json_number(out, as_number());
   } else if (is_string()) {
-    write_escaped(out, as_string());
+    write_json_string(out, as_string());
   } else if (is_array()) {
     out.push_back('[');
     bool first = true;
@@ -97,7 +93,7 @@ void Json::write(std::string& out) const {
     for (const auto& [key, value] : as_object()) {
       if (!first) out.push_back(',');
       first = false;
-      write_escaped(out, key);
+      write_json_string(out, key);
       out.push_back(':');
       value.write(out);
     }

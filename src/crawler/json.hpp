@@ -74,6 +74,12 @@ class Json {
 /// garbage.
 [[nodiscard]] std::optional<Json> parse_json(std::string_view text);
 
+/// The writers Json::dump() uses, for bodies written straight from typed
+/// values: a value written through them is byte-identical to the same value
+/// dumped as a Json.
+void write_json_string(std::string& out, std::string_view text);
+void write_json_number(std::string& out, double value);
+
 /// Builder helpers for terse service code.
 [[nodiscard]] Json json_object(JsonObject members);
 

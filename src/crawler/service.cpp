@@ -73,16 +73,16 @@ constexpr Route kRoutes[] = {
     case 405: return "Method Not Allowed";
     case 429: return "Too Many Requests";
     case 500: return "Internal Server Error";
+    case 502: return "Bad Gateway";
     case 503: return "Service Unavailable";
     default: return "Error";
   }
 }
 
-/// The uniform error envelope every non-200 response carries:
-/// {"error": {"code", "message", "retry_after_ms"?}}.
-[[nodiscard]] net::HttpResponse error_response(int status, std::string_view code,
-                                               std::string_view message,
-                                               std::int64_t retry_after_ms = -1) {
+}  // namespace
+
+net::HttpResponse error_response(int status, std::string_view code, std::string_view message,
+                                 std::int64_t retry_after_ms) {
   JsonObject error;
   error.emplace_back("code", Json(code));
   error.emplace_back("message", Json(message));
@@ -97,7 +97,54 @@ constexpr Route kRoutes[] = {
   return response;
 }
 
-}  // namespace
+std::string app_body(const AppDetail& app) {
+  std::string out;
+  out.reserve(160 + app.name.size() + app.category.size() + app.developer.size());
+  out += "{\"id\":";
+  write_json_number(out, app.id);
+  out += ",\"name\":";
+  write_json_string(out, app.name);
+  out += ",\"category\":";
+  write_json_string(out, app.category);
+  out += ",\"developer\":";
+  write_json_string(out, app.developer);
+  out += app.paid ? ",\"paid\":true,\"price\":" : ",\"paid\":false,\"price\":";
+  write_json_number(out, app.price);
+  out += ",\"downloads\":";
+  write_json_number(out, static_cast<double>(app.downloads));
+  out += ",\"version\":";
+  write_json_number(out, app.version);
+  out += app.has_ads ? ",\"has_ads\":true,\"released\":" : ",\"has_ads\":false,\"released\":";
+  write_json_number(out, app.released);
+  out += '}';
+  return out;
+}
+
+std::string comments_body(std::uint32_t app, std::uint64_t total, std::uint64_t page,
+                          std::span<const events::Event> rows) {
+  std::string out;
+  out.reserve(64 + 56 * rows.size());
+  out += "{\"app\":";
+  write_json_number(out, app);
+  out += ",\"total\":";
+  write_json_number(out, static_cast<double>(total));
+  out += ",\"page\":";
+  write_json_number(out, static_cast<double>(page));
+  out += ",\"comments\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    out += i == 0 ? "{\"user\":" : ",{\"user\":";
+    write_json_number(out, rows[i].user);
+    out += ",\"day\":";
+    write_json_number(out, rows[i].day);
+    out += ",\"ordinal\":";
+    write_json_number(out, rows[i].ordinal);
+    out += ",\"rating\":";
+    write_json_number(out, rows[i].rating);
+    out += '}';
+  }
+  out += "]}";
+  return out;
+}
 
 std::string_view to_string(AppstoreService::Endpoint endpoint) noexcept {
   switch (endpoint) {
@@ -290,20 +337,15 @@ net::HttpResponse AppstoreService::handle(const net::HttpRequest& request) {
     case Endpoint::kApp:
     case Endpoint::kComments:
     case Endpoint::kApk: {
-      // These read the derived per-app layout; catch it up to the
-      // published frontiers first (fast no-op when nothing ingested).
-      refresh_derived();
-      std::uint64_t id = 0;
-      if (!util::parse_u64(match.rest, id) || id >= store_.apps().size()) {
-        return error_response(404, "not_found", "no such app");
-      }
+      const std::optional<std::uint32_t> id = app_of(match.rest);
+      if (!id) return error_response(404, "not_found", "no such app");
       if (match.endpoint == Endpoint::kComments) {
-        return handle_comments(static_cast<std::uint32_t>(id), request);
+        return handle_comments(*id, context.day, request);
       }
-      if (match.endpoint == Endpoint::kApk) {
-        return handle_apk(static_cast<std::uint32_t>(id));
-      }
-      return handle_app(static_cast<std::uint32_t>(id));
+      if (match.endpoint == Endpoint::kApk) return handle_apk(*id, context.day);
+      AppResponse answer = app_at(*id, context.day);
+      if (answer.refused()) return std::move(answer.refusal);
+      return net::HttpResponse::json(200, app_body(answer.value));
     }
     case Endpoint::kMetrics:
     case Endpoint::kOther:
@@ -377,32 +419,72 @@ net::HttpResponse AppstoreService::handle_cacheable(const ServiceRequest& contex
   return response;
 }
 
-PartialResponse AppstoreService::respond_partial(const net::HttpRequest& request) {
+template <class Answer, class Compute>
+Answer AppstoreService::serve_typed(const net::HttpRequest& request, Endpoint endpoint,
+                                    Compute&& compute) {
   const std::string path = request.path();
   const RouteMatch match = route(path);
   const auto slot = static_cast<std::size_t>(match.endpoint);
   endpoint_requests_[slot]->inc();
   const obs::ScopedTimer timer(endpoint_latency_[slot]);
-  if (match.endpoint != Endpoint::kQuery) {
-    return {nullptr, error_response(404, "not_found", "no partial form for this endpoint")};
+  Answer answer;
+  if (match.endpoint != endpoint) {
+    answer.refusal = error_response(404, "not_found", "no typed form for this endpoint");
+    return answer;
   }
   const ServiceRequest context = context_for(request, match);
-  if (auto refusal = check_gates(context)) return {nullptr, std::move(*refusal)};
-
-  // Typed fragments share the response cache under their own keys (HTTP
-  // keys always start with '/'), stamped like every other entry.
-  std::string key = cache_key(request, kTypedPartialKey);
-  const std::uint64_t epoch = store_.ingest_epoch();
-  if (auto hit = cache_find(key, context.day, epoch)) return {std::move(hit->partial), {}};
-  PartialResponse answer;
-  try {
-    answer.partial = std::make_shared<const query::PartialAggregate>(
-        query_engine_->run_partial(parse_query_request(request), context.day));
-  } catch (const query::QueryError& error) {
-    answer.refusal = error_response(400, error.code(), error.what());
+  if (auto refusal = check_gates(context)) {
+    answer.refusal = std::move(*refusal);
+    return answer;
   }
-  cache_store(std::move(key), context.day, epoch, answer.refusal, answer.partial);
-  return answer;
+  return compute(context);
+}
+
+PartialResponse AppstoreService::respond_partial(const net::HttpRequest& request,
+                                                 market::Day day) {
+  return serve_typed<PartialResponse>(request, Endpoint::kQuery, [&](const ServiceRequest&) {
+    // Typed fragments share the response cache under their own keys (HTTP
+    // keys always start with '/'), stamped with the day the caller asked
+    // for, so a caller that keeps asking for the published day keeps
+    // hitting.
+    std::string key = cache_key(request, kTypedPartialKey);
+    const std::uint64_t epoch = store_.ingest_epoch();
+    PartialResponse answer;
+    if (auto hit = cache_find(key, day, epoch)) {
+      answer.value = std::move(hit->partial);
+      return answer;
+    }
+    try {
+      answer.value = std::make_shared<const query::PartialAggregate>(
+          query_engine_->run_partial(parse_query_request(request), day));
+    } catch (const query::QueryError& error) {
+      answer.refusal = error_response(400, error.code(), error.what());
+    }
+    cache_store(std::move(key), day, epoch, answer.refusal, answer.value);
+    return answer;
+  });
+}
+
+AppResponse AppstoreService::respond_app(const net::HttpRequest& request, market::Day day) {
+  return serve_typed<AppResponse>(request, Endpoint::kApp, [&](const ServiceRequest& context) {
+    const std::optional<std::uint32_t> id = app_of(context.rest);
+    if (!id) return AppResponse{{}, error_response(404, "not_found", "no such app")};
+    return app_at(*id, day);
+  });
+}
+
+CommentsResponse AppstoreService::respond_comments(const net::HttpRequest& request,
+                                                   market::Day day, std::size_t max_rows) {
+  return serve_typed<CommentsResponse>(
+      request, Endpoint::kComments, [&](const ServiceRequest& context) {
+        CommentsResponse answer;
+        if (const std::optional<std::uint32_t> id = app_of(context.rest)) {
+          answer.value = comments_at(*id, day, 0, max_rows);
+        } else {
+          answer.refusal = error_response(404, "not_found", "no such app");
+        }
+        return answer;
+      });
 }
 
 net::HttpResponse AppstoreService::handle_query(const ServiceRequest& context) const {
@@ -478,29 +560,37 @@ net::HttpResponse AppstoreService::handle_apps(const net::HttpRequest& request,
                                           .dump());
 }
 
-net::HttpResponse AppstoreService::handle_app(std::uint32_t id) const {
-  const market::Day day = day_.load(std::memory_order_relaxed);
-  const market::App& app = store_.apps()[id];
-  if (app.released > day) return error_response(404, "not_found", "not yet released");
-
-  return net::HttpResponse::json(
-      200,
-      json_object(
-          {{"id", static_cast<std::uint64_t>(id)},
-           {"name", app.name},
-           {"category", store_.category(app.category).name},
-           {"developer", store_.developer(app.developer).name},
-           {"paid", app.pricing == market::Pricing::kPaid},
-           {"price", market::cents_to_dollars(app.price)},
-           {"downloads", downloads_up_to(id, day)},
-           {"version", static_cast<std::uint64_t>(version_up_to(id, day))},
-           {"has_ads", app.has_ads},
-           {"released", static_cast<std::int64_t>(app.released)}})
-          .dump());
+std::optional<std::uint32_t> AppstoreService::app_of(std::string_view rest) const {
+  // The per-app routes read the derived layout; catch it up to the
+  // published frontiers first (fast no-op when nothing ingested).
+  refresh_derived();
+  std::uint64_t id = 0;
+  if (!util::parse_u64(rest, id) || id >= store_.apps().size()) return std::nullopt;
+  return static_cast<std::uint32_t>(id);
 }
 
-net::HttpResponse AppstoreService::handle_apk(std::uint32_t id) const {
-  const market::Day day = day_.load(std::memory_order_relaxed);
+AppResponse AppstoreService::app_at(std::uint32_t id, market::Day day) const {
+  const market::App& app = store_.apps()[id];
+  AppResponse answer;
+  if (app.released > day) {
+    answer.refusal = error_response(404, "not_found", "not yet released");
+    return answer;
+  }
+  answer.value = AppDetail{.id = id,
+                           .name = app.name,
+                           .category = store_.category(app.category).name,
+                           .developer = store_.developer(app.developer).name,
+                           .paid = app.pricing == market::Pricing::kPaid,
+                           .price = market::cents_to_dollars(app.price),
+                           .downloads = downloads_up_to(id, day),
+                           .version = version_up_to(id, day),
+                           .has_ads = app.has_ads,
+                           .released = app.released,
+                           .document = nullptr};
+  return answer;
+}
+
+net::HttpResponse AppstoreService::handle_apk(std::uint32_t id, market::Day day) const {
   const market::App& app = store_.apps()[id];
   if (app.released > day) return error_response(404, "not_found", "not yet released");
 
@@ -515,22 +605,11 @@ net::HttpResponse AppstoreService::handle_apk(std::uint32_t id) const {
   return response;
 }
 
-net::HttpResponse AppstoreService::handle_comments(std::uint32_t id,
-                                                   const net::HttpRequest& request) const {
-  const market::Day day = day_.load(std::memory_order_relaxed);
-  const auto query = request.query();
-  std::uint64_t page = 0;
-  const std::uint64_t per_page = 200;
-  if (const auto it = query.find("page"); it != query.end()) {
-    if (!util::parse_u64(it->second, page)) {
-      return error_response(400, "bad_request", "bad page");
-    }
-  }
-
+CommentsPage AppstoreService::comments_at(std::uint32_t id, market::Day day,
+                                          std::uint64_t first, std::uint64_t limit) const {
+  CommentsPage page;
+  page.app = id;
   const events::FrontierSnapshot log = store_.comment_log();
-  JsonArray comments;
-  std::uint64_t visible = 0;
-  const std::uint64_t first = page * per_page;
   const std::shared_lock lock(derived_mutex_);
   for (const auto index : derived_.comment_index[id]) {
     // A concurrent refresh may have absorbed rows past this handler's
@@ -538,19 +617,24 @@ net::HttpResponse AppstoreService::handle_comments(std::uint32_t id,
     if (index >= log.size()) break;
     const events::Event comment = log.row(index);
     if (comment.day > day) continue;
-    if (visible >= first && visible < first + per_page) {
-      comments.push_back(json_object({{"user", static_cast<std::uint64_t>(comment.user)},
-                                      {"day", static_cast<std::int64_t>(comment.day)},
-                                      {"ordinal", static_cast<std::uint64_t>(comment.ordinal)},
-                                      {"rating", static_cast<std::uint64_t>(comment.rating)}}));
-    }
-    ++visible;
+    if (page.total >= first && page.total - first < limit) page.rows.push_back(comment);
+    ++page.total;
   }
-  return net::HttpResponse::json(200, json_object({{"app", static_cast<std::uint64_t>(id)},
-                                                   {"total", visible},
-                                                   {"page", page},
-                                                   {"comments", Json(std::move(comments))}})
-                                          .dump());
+  return page;
+}
+
+net::HttpResponse AppstoreService::handle_comments(std::uint32_t id, market::Day day,
+                                                   const net::HttpRequest& request) const {
+  const auto query = request.query();
+  std::uint64_t page = 0;
+  if (const auto it = query.find("page"); it != query.end()) {
+    if (!util::parse_u64(it->second, page)) {
+      return error_response(400, "bad_request", "bad page");
+    }
+  }
+  const CommentsPage comments = comments_at(id, day, page * kCommentsPerPage, kCommentsPerPage);
+  return net::HttpResponse::json(200,
+                                 comments_body(id, comments.total, page, comments.rows));
 }
 
 }  // namespace appstore::crawlersim

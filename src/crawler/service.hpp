@@ -47,9 +47,12 @@
 // keeps serving day-N answers while the crawler ingests day N+1. See
 // docs/serving.md.
 //
-// respond_partial() is the in-process form of a /api/v1/query?partial=1
-// call: the same gates, metrics and cache, but the answer is the typed
-// query::PartialAggregate a federation gateway merges, never JSON. See
+// The typed calls respond_partial(), respond_app() and respond_comments()
+// are the in-process forms a federation gateway uses: the same gates and
+// metrics as respond(), at the day the caller passes, but the answer is a
+// typed value, never JSON. respond() serializes the same values through
+// app_body() and comments_body(), the one writer per body the gateway also
+// uses, so shard and gateway bodies are byte-identical by construction. See
 // docs/federation.md.
 #pragma once
 
@@ -58,10 +61,14 @@
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "crawler/json.hpp"
+#include "events/event_log.hpp"
 #include "market/durable.hpp"
 #include "market/store.hpp"
 #include "net/proxy.hpp"
@@ -109,15 +116,65 @@ struct ServicePolicy {
   market::DurableStore* durable = nullptr;
 };
 
-/// AppstoreService::respond_partial()'s answer: the shard's mergeable query
-/// fragment, or — when a policy gate or the request itself refused it — the
-/// error response respond() would have sent. The fragment is immutable and
-/// shared with the response cache; a holder keeps it alive past any cache
-/// clear.
-struct PartialResponse {
-  std::shared_ptr<const query::PartialAggregate> partial;  ///< null = refused
-  net::HttpResponse refusal;  ///< the non-200 answer when partial is null
+/// Rows per /api/v1/app/<id>/comments page.
+inline constexpr std::uint64_t kCommentsPerPage = 200;
+
+/// The /api/v1/app/<id> document. The string fields view entity strings
+/// owned elsewhere: the served store's for an in-process answer, `document`
+/// for one decoded from a shard's JSON body.
+struct AppDetail {
+  std::uint32_t id = 0;
+  std::string_view name;
+  std::string_view category;
+  std::string_view developer;
+  bool paid = false;
+  double price = 0.0;
+  std::uint64_t downloads = 0;  ///< cumulative up to the answer's day
+  std::uint32_t version = 0;
+  bool has_ads = false;
+  market::Day released = 0;
+  std::shared_ptr<const Json> document;  ///< null for an in-process answer
 };
+
+/// An app's comments visible at one day: the total, and a run of them in
+/// the store's append order (events::Event; `app` is the page's app).
+struct CommentsPage {
+  std::uint32_t app = 0;
+  std::uint64_t total = 0;
+  std::vector<events::Event> rows;
+};
+
+/// A typed call's answer: `value`, or — when a policy gate or the request
+/// itself refused the call — the error response respond() would have sent.
+template <class T>
+struct TypedResponse {
+  T value{};
+  net::HttpResponse refusal;  ///< status 200 unless refused
+
+  [[nodiscard]] bool refused() const noexcept { return refusal.status != 200; }
+};
+
+/// respond_partial()'s answer. The fragment is immutable and shared with the
+/// response cache; a holder keeps it alive past any cache clear.
+using PartialResponse = TypedResponse<std::shared_ptr<const query::PartialAggregate>>;
+using AppResponse = TypedResponse<AppDetail>;
+using CommentsResponse = TypedResponse<CommentsPage>;
+
+/// The /api/v1/app/<id> body.
+[[nodiscard]] std::string app_body(const AppDetail& app);
+
+/// One /api/v1/app/<id>/comments body: page `page` of app `app`'s `total`
+/// comments, whose rows are `rows`.
+[[nodiscard]] std::string comments_body(std::uint32_t app, std::uint64_t total,
+                                        std::uint64_t page,
+                                        std::span<const events::Event> rows);
+
+/// The uniform error envelope every non-200 response carries:
+/// {"error": {"code", "message", "retry_after_ms"?}}, plus Retry-After when
+/// `retry_after_ms` >= 0.
+[[nodiscard]] net::HttpResponse error_response(int status, std::string_view code,
+                                               std::string_view message,
+                                               std::int64_t retry_after_ms = -1);
 
 class AppstoreService {
  public:
@@ -187,11 +244,23 @@ class AppstoreService {
   }
 
   /// The typed partial form of a /api/v1/query request (GET or POST; no
-  /// partial flag needed): what respond() answers with ?partial=1, without
-  /// the JSON. Runs the same policy gates and service_* metrics, and caches
-  /// the fragment itself under the same (day, epoch) stamp. Any other
-  /// endpoint is refused 404.
-  [[nodiscard]] PartialResponse respond_partial(const net::HttpRequest& request);
+  /// partial flag needed) aggregated up to `day`: what respond() answers
+  /// with ?partial=1 at that day, without the JSON. Runs the same policy
+  /// gates and service_* metrics, and caches the fragment itself under the
+  /// (day, epoch) stamp. Any other endpoint is refused 404.
+  [[nodiscard]] PartialResponse respond_partial(const net::HttpRequest& request,
+                                                market::Day day);
+
+  /// The typed form of a /api/v1/app/<id> request at `day`: the document
+  /// respond() writes at that day. Any other endpoint is refused 404.
+  [[nodiscard]] AppResponse respond_app(const net::HttpRequest& request, market::Day day);
+
+  /// The typed form of a /api/v1/app/<id>/comments request at `day`, with
+  /// every page at once: the total visible comments and the first
+  /// `max_rows` of them (the page parameter is ignored). Any other endpoint
+  /// is refused 404.
+  [[nodiscard]] CommentsResponse respond_comments(const net::HttpRequest& request,
+                                                  market::Day day, std::size_t max_rows);
 
   void stop() { server_->stop(); }
 
@@ -214,10 +283,23 @@ class AppstoreService {
   /// cache key (prefix-stripped target, plus the body for POST).
   [[nodiscard]] net::HttpResponse handle_cacheable(const ServiceRequest& context,
                                                    std::string key);
-  [[nodiscard]] net::HttpResponse handle_app(std::uint32_t id) const;
-  [[nodiscard]] net::HttpResponse handle_comments(std::uint32_t id,
+  /// The shared frame of the typed calls: routes `request`, counts and
+  /// times it under its endpoint class, refuses it 404 unless it is
+  /// `endpoint`, runs the policy gates, then answers `compute(context)`.
+  template <class Answer, class Compute>
+  [[nodiscard]] Answer serve_typed(const net::HttpRequest& request, Endpoint endpoint,
+                                   Compute&& compute);
+  /// The app a /app/<id> route names (catching the derived layout up
+  /// first), or nullopt when there is no such app.
+  [[nodiscard]] std::optional<std::uint32_t> app_of(std::string_view rest) const;
+  [[nodiscard]] AppResponse app_at(std::uint32_t id, market::Day day) const;
+  /// App `id`'s comments visible at `day`: the total, and the visible rows
+  /// [first, first + limit) in append order.
+  [[nodiscard]] CommentsPage comments_at(std::uint32_t id, market::Day day,
+                                         std::uint64_t first, std::uint64_t limit) const;
+  [[nodiscard]] net::HttpResponse handle_comments(std::uint32_t id, market::Day day,
                                                   const net::HttpRequest& request) const;
-  [[nodiscard]] net::HttpResponse handle_apk(std::uint32_t id) const;
+  [[nodiscard]] net::HttpResponse handle_apk(std::uint32_t id, market::Day day) const;
   [[nodiscard]] net::HttpResponse handle_metrics(const net::HttpRequest& request) const;
   [[nodiscard]] net::HttpResponse handle_query(const ServiceRequest& context) const;
 

@@ -3,24 +3,55 @@
 #include <stdexcept>
 #include <utility>
 
+#include "market/store.hpp"
 #include "util/format.hpp"
-#include "util/strings.hpp"
+#include "util/rng.hpp"
 
 namespace appstore::fed {
+
+namespace {
+
+/// A digest of the entity state every shard replicates: the store's name,
+/// categories, developers and apps with their update history.
+[[nodiscard]] std::uint64_t entity_digest(const market::AppStore& store) {
+  std::uint64_t digest = util::hash64(store.name());
+  const auto mix = [&digest](std::uint64_t value) {
+    digest = util::combine_seed(digest, value);
+  };
+  for (const market::Category& category : store.categories()) mix(util::hash64(category.name));
+  for (const market::Developer& developer : store.developers()) {
+    mix(util::hash64(developer.name));
+  }
+  for (const market::App& app : store.apps()) {
+    mix(util::hash64(app.name));
+    mix(app.developer.value);
+    mix(app.category.value);
+    mix(static_cast<std::uint64_t>(app.pricing));
+    mix(static_cast<std::uint64_t>(app.price));
+    mix(static_cast<std::uint64_t>(app.released));
+    mix(app.has_ads ? 1 : 0);
+    mix(app.update_days.size());
+    for (const market::Day day : app.update_days) mix(static_cast<std::uint64_t>(day));
+  }
+  return digest;
+}
+
+}  // namespace
 
 void Federation::set_day(market::Day day) {
   for (auto& service : services) service->set_day(day);
 }
 
 void Federation::attach(FederationGateway& gateway) const {
+  for (std::size_t i = 1; i < stores.size(); ++i) {
+    if (entity_digest(*stores[i].store) != entity_digest(*stores.front().store)) {
+      throw std::runtime_error(util::format(
+          "Federation::attach: {} replicates different entity state than {}", shard_ids[i],
+          shard_ids.front()));
+    }
+  }
   for (std::size_t i = 0; i < services.size(); ++i) {
-    crawlersim::AppstoreService* service = services[i].get();
-    gateway.add_upstream(
-        shard_ids[i],
-        [service](const net::HttpRequest& request) { return service->respond(request); },
-        [service](const net::HttpRequest& request) {
-          return service->respond_partial(request);
-        });
+    gateway.add_upstream(shard_ids[i], std::make_shared<ServiceShard>(*services[i]));
   }
 }
 

@@ -50,14 +50,18 @@ struct Federation {
   std::vector<synth::GeneratedStore> stores;
   std::vector<std::unique_ptr<crawlersim::AppstoreService>> services;
 
-  /// Publishes `day` on every shard service.
+  /// Publishes `day` on every shard service, one after the other (the
+  /// gateway reads one day per request, so a racing scatter never mixes
+  /// two).
   void set_day(market::Day day);
 
-  /// Registers every shard on `gateway` (in shard-id order; the gateway's
-  /// ring is rebuilt by these joins, so construct it with the same
-  /// RingOptions the federation used or routing will disagree). Each shard
-  /// registers respond() and the typed respond_partial(), so scatter queries
-  /// exchange partials without JSON.
+  /// Registers every shard on `gateway` as a ServiceShard (in shard-id
+  /// order; the gateway's ring is rebuilt by these joins, so construct it
+  /// with the same RingOptions the federation used or routing will
+  /// disagree), so no shard call passes through JSON. The gateway answers
+  /// replicated routes from one shard, so first every shard store's entity
+  /// state must digest alike: throws std::runtime_error, registering
+  /// nothing, when one differs.
   void attach(FederationGateway& gateway) const;
 };
 

@@ -1,100 +1,34 @@
 #include "fed/gateway.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <tuple>
+#include <chrono>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
 #include "obs/export.hpp"
 #include "query/expression.hpp"
 #include "query/federate.hpp"
 #include "util/rng.hpp"
-#include "util/format.hpp"
 #include "util/strings.hpp"
 
 namespace appstore::fed {
 
 namespace {
 
-using crawlersim::Json;
-using crawlersim::JsonArray;
-using crawlersim::JsonObject;
+using crawlersim::error_response;
 
-[[nodiscard]] std::string_view reason_for(int status) noexcept {
-  switch (status) {
-    case 400: return "Bad Request";
-    case 404: return "Not Found";
-    case 502: return "Bad Gateway";
-    case 503: return "Service Unavailable";
-    default: return "Error";
-  }
-}
-
-/// The same uniform error envelope the shard services answer with.
-[[nodiscard]] net::HttpResponse error_response(int status, std::string_view code,
-                                               std::string_view message,
-                                               std::int64_t retry_after_ms = -1) {
-  JsonObject error;
-  error.emplace_back("code", Json(code));
-  error.emplace_back("message", Json(message));
-  if (retry_after_ms >= 0) error.emplace_back("retry_after_ms", Json(retry_after_ms));
-  net::HttpResponse response = net::HttpResponse::json(
-      status, crawlersim::json_object({{"error", Json(std::move(error))}}).dump());
-  response.reason = std::string(reason_for(status));
-  if (retry_after_ms >= 0) {
-    response.headers["Retry-After"] =
-        std::to_string(std::max<std::int64_t>(1, (retry_after_ms + 999) / 1000));
-  }
-  return response;
-}
-
-/// The original query request plus the partial flag, so a shard answers the
-/// mergeable fragment as JSON instead of a finalized result.
-[[nodiscard]] net::HttpRequest with_partial_flag(const net::HttpRequest& request) {
-  net::HttpRequest out = request;
-  if (request.method == "POST") {
-    const auto document = crawlersim::parse_json(request.body);
-    if (document && document->is_object()) {
-      JsonObject body = document->as_object();
-      body.emplace_back("partial", Json(true));
-      out.body = Json(std::move(body)).dump();
-    }
-    // Malformed bodies are forwarded untouched; the shard answers 400.
-  } else {
-    out.target += out.target.find('?') == std::string::npos ? "?partial=1" : "&partial=1";
-  }
-  return out;
-}
-
-/// The typed call of an upstream registered with an HTTP call alone: asks
-/// for the JSON partial form and decodes it. A body that does not decode is
-/// refused 502 bad_upstream_body.
-[[nodiscard]] FederationGateway::PartialCall json_partial_adapter(
-    FederationGateway::Call call) {
-  return [call = std::move(call)](const net::HttpRequest& request) {
-    crawlersim::PartialResponse answer;
-    net::HttpResponse response = call(with_partial_flag(request));
-    if (response.status != 200) {
-      answer.refusal = std::move(response);
-      return answer;
-    }
-    const auto document = crawlersim::parse_json(response.body);
-    if (!document || !document->is_object()) {
-      answer.refusal = error_response(502, "bad_upstream_body", "unparseable shard partial");
-      return answer;
-    }
-    try {
-      answer.partial = std::make_shared<const query::PartialAggregate>(
-          crawlersim::partial_from_json(*document));
-    } catch (const query::QueryError& error) {
-      answer.refusal = error_response(502, "bad_upstream_body", error.what());
-    }
+/// The error response a call's answer carries: the response itself for
+/// Shard::respond, the refusal of a typed answer (status 200 = none).
+template <class Answer>
+[[nodiscard]] auto& refusal_of(Answer& answer) noexcept {
+  if constexpr (std::is_same_v<std::remove_const_t<Answer>, net::HttpResponse>) {
     return answer;
-  };
+  } else {
+    return answer.refusal;
+  }
 }
 
 /// gateway_requests_total labels, indexed by FederationGateway::Outcome.
@@ -115,35 +49,31 @@ constexpr std::string_view kOutcomeLabels[6] = {"ok",        "http_4xx",     "ht
 FederationGateway::FederationGateway(GatewayOptions options)
     : options_(std::move(options)), ring_(options_.ring), breakers_(table_options(options_)) {
   registry_.describe("gateway_requests_total", "Gateway responses by outcome");
-  registry_.describe("gateway_upstream_calls_total", "Attempts reaching a shard");
-  registry_.describe("gateway_hedges_total", "Hedge attempts: issued, won, cancelled");
+  registry_.describe("gateway_upstream_calls_total", "Shard calls attempted");
   for (std::size_t i = 0; i < std::size(kOutcomeLabels); ++i) {
     outcome_requests_[i] = &registry_.counter("gateway_requests_total", kOutcomeLabels[i]);
   }
   upstream_calls_ = &registry_.counter("gateway_upstream_calls_total");
-  hedges_issued_ = &registry_.counter("gateway_hedges_total", "issued");
-  hedges_won_ = &registry_.counter("gateway_hedges_total", "won");
-  hedges_cancelled_ = &registry_.counter("gateway_hedges_total", "cancelled");
 }
 
-void FederationGateway::add_upstream(const std::string& id, Call call, PartialCall partial) {
-  if (!partial) partial = json_partial_adapter(call);
+void FederationGateway::add_upstream(const std::string& id, Call call) {
+  add_upstream(id, std::make_shared<HttpShard>(std::move(call)));
+}
+
+void FederationGateway::add_upstream(const std::string& id, std::shared_ptr<Shard> shard) {
   const std::unique_lock lock(upstreams_mutex_);
   for (auto& upstream : upstreams_) {
     if (upstream->id == id) {
-      upstream->call = std::move(call);
-      upstream->partial = std::move(partial);
+      upstream->shard = std::move(shard);
       return;
     }
   }
   auto upstream = std::make_unique<Upstream>();
   upstream->id = id;
-  upstream->call = std::move(call);
-  upstream->partial = std::move(partial);
+  upstream->shard = std::move(shard);
   net::AdmissionOptions admission = options_.admission;
   if (admission.clock == nullptr) admission.clock = options_.clock;
   upstream->admission = std::make_unique<net::AdmissionController>(admission);
-  upstream->latency_ring.assign(Upstream::kReservoirSize, 0);
   upstreams_.push_back(std::move(upstream));
   ring_.add(id);
 }
@@ -167,24 +97,20 @@ FederationGateway::Upstream* FederationGateway::find_upstream(const std::string&
 }
 
 GatewayStats FederationGateway::stats() const {
-  const std::lock_guard lock(stats_mutex_);
-  return stats_;
-}
-
-void FederationGateway::count_outcome(Outcome outcome) {
-  {
-    const std::lock_guard lock(stats_mutex_);
-    ++stats_.requests;
-    switch (outcome) {
-      case Outcome::kOk: ++stats_.ok; break;
-      case Outcome::kHttp4xx: ++stats_.http_4xx; break;
-      case Outcome::kHttp5xx: ++stats_.http_5xx; break;
-      case Outcome::kTransport: ++stats_.transport; break;
-      case Outcome::kBreakerOpen: ++stats_.breaker_open; break;
-      case Outcome::kShed: ++stats_.shed; break;
-    }
-  }
-  outcome_requests_[static_cast<std::size_t>(outcome)]->inc();
+  const auto count = [this](Outcome outcome) {
+    return outcome_requests_[static_cast<std::size_t>(outcome)]->value();
+  };
+  GatewayStats stats;
+  stats.ok = count(Outcome::kOk);
+  stats.http_4xx = count(Outcome::kHttp4xx);
+  stats.http_5xx = count(Outcome::kHttp5xx);
+  stats.transport = count(Outcome::kTransport);
+  stats.breaker_open = count(Outcome::kBreakerOpen);
+  stats.shed = count(Outcome::kShed);
+  stats.requests = stats.ok + stats.http_4xx + stats.http_5xx + stats.transport +
+                   stats.breaker_open + stats.shed;
+  stats.upstream_calls = upstream_calls_->value();
+  return stats;
 }
 
 net::HttpResponse FederationGateway::respond(const net::HttpRequest& request) {
@@ -193,7 +119,7 @@ net::HttpResponse FederationGateway::respond(const net::HttpRequest& request) {
     const std::shared_lock lock(upstreams_mutex_);
     routed = dispatch(request);
   }
-  count_outcome(routed.outcome);
+  outcome_requests_[static_cast<std::size_t>(routed.outcome)]->inc();
   return std::move(routed.response);
 }
 
@@ -215,13 +141,14 @@ FederationGateway::Routed FederationGateway::dispatch(const net::HttpRequest& re
   }
   switch (match.endpoint) {
     case Service::Endpoint::kMeta:
+    case Service::Endpoint::kApps:
     case Service::Endpoint::kApk:
-      // Replicated data: any one shard answers; hash the target so load
-      // spreads across the membership.
-      return route_single(request, util::hash64(path));
-    case Service::Endpoint::kApps: return route_apps(request);
-    case Service::Endpoint::kApp: return route_app(request, match.rest);
-    case Service::Endpoint::kComments: return route_comments(request, match.rest);
+      // Replicated data: any one shard answers (Federation::attach checked
+      // that the in-process shards agree); hash the target so load spreads
+      // across the membership.
+      return route_single(request, util::hash64(request.target));
+    case Service::Endpoint::kApp: return route_app(request);
+    case Service::Endpoint::kComments: return route_comments(request);
     case Service::Endpoint::kQuery: return route_query(request);
     case Service::Endpoint::kMetrics:
     case Service::Endpoint::kOther: break;
@@ -231,92 +158,10 @@ FederationGateway::Routed FederationGateway::dispatch(const net::HttpRequest& re
 
 // ---- upstream calls --------------------------------------------------------
 
-FederationGateway::Attempt FederationGateway::exchange(Upstream& upstream,
-                                                       const net::HttpRequest& request,
-                                                       CallKind kind) {
-  Attempt attempt;
-  const auto start = chaos::now_or_real(options_.clock);
-  chaos::Fault fault;
-  if (options_.faults != nullptr) {
-    fault = options_.faults->next(chaos::FaultSite::kExchange, upstream.id);
-  }
-  switch (fault.kind) {
-    case chaos::FaultKind::kConnectRefused:
-    case chaos::FaultKind::kConnectionReset:
-      attempt.transport = true;
-      break;
-    case chaos::FaultKind::kHttp429:
-      attempt.response = error_response(429, "injected_fault", "injected 429");
-      break;
-    case chaos::FaultKind::kHttp403:
-      attempt.response = error_response(403, "injected_fault", "injected 403");
-      break;
-    case chaos::FaultKind::kHttp500:
-      attempt.response = error_response(500, "injected_fault", "injected 500");
-      break;
-    case chaos::FaultKind::kLatency:
-      chaos::sleep_or_real(options_.clock, fault.latency);
-      [[fallthrough]];
-    default:
-      try {
-        if (kind == CallKind::kHttp) {
-          attempt.response = upstream.call(request);
-        } else {
-          crawlersim::PartialResponse answer = upstream.partial(request);
-          attempt.partial = std::move(answer.partial);
-          if (attempt.partial == nullptr) {
-            attempt.response = answer.refusal.status == 200
-                                   ? error_response(502, "bad_upstream_body",
-                                                    "shard answered no partial")
-                                   : std::move(answer.refusal);
-          }
-        }
-      } catch (...) {
-        attempt.transport = true;
-      }
-      break;
-  }
-  attempt.latency = chaos::now_or_real(options_.clock) - start;
-  return attempt;
-}
-
-std::optional<std::chrono::nanoseconds> FederationGateway::hedge_delay(Upstream& upstream) {
-  if (!options_.hedge_enabled) return std::nullopt;
-  if (options_.hedge_delay.count() > 0) return options_.hedge_delay;
-  const std::int64_t cached = upstream.cached_hedge_delay_ns.load(std::memory_order_acquire);
-  if (cached < 0) return std::nullopt;
-  return std::chrono::nanoseconds(cached);
-}
-
-void FederationGateway::record_latency(Upstream& upstream, std::chrono::nanoseconds latency) {
-  const std::lock_guard lock(upstream.latency_mutex);
-  upstream.latency_ring[upstream.latency_next] = latency.count();
-  upstream.latency_next = (upstream.latency_next + 1) % Upstream::kReservoirSize;
-  ++upstream.latency_samples;
-  if (upstream.latency_samples < std::max<std::uint64_t>(1, options_.hedge_min_samples)) {
-    return;
-  }
-  if (upstream.latency_samples % Upstream::kRecacheEvery != 0 &&
-      upstream.cached_hedge_delay_ns.load(std::memory_order_relaxed) >= 0) {
-    return;
-  }
-  const std::size_t filled = static_cast<std::size_t>(
-      std::min<std::uint64_t>(upstream.latency_samples, Upstream::kReservoirSize));
-  std::vector<std::int64_t> sorted(upstream.latency_ring.begin(),
-                                   upstream.latency_ring.begin() +
-                                       static_cast<std::ptrdiff_t>(filled));
-  const double quantile = std::clamp(options_.hedge_quantile, 0.0, 1.0);
-  auto nth = sorted.begin() +
-             std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(filled) - 1,
-                                      static_cast<std::ptrdiff_t>(
-                                          quantile * static_cast<double>(filled)));
-  std::nth_element(sorted.begin(), nth, sorted.end());
-  upstream.cached_hedge_delay_ns.store(*nth, std::memory_order_release);
-}
-
-FederationGateway::CallResult FederationGateway::call_upstream(
-    Upstream& upstream, const net::HttpRequest& request, CallKind kind) {
-  CallResult result;
+template <class Answer, class Exchange>
+FederationGateway::CallResult<Answer> FederationGateway::call_upstream(Upstream& upstream,
+                                                                       Exchange&& exchange) {
+  CallResult<Answer> result;
   const std::size_t depth = upstream.in_flight.load(std::memory_order_relaxed);
   if (upstream.admission->admit(depth) != net::AdmissionDecision::kAdmit) {
     result.status = CallStatus::kShed;
@@ -328,80 +173,68 @@ FederationGateway::CallResult FederationGateway::call_upstream(
     return result;
   }
   upstream.in_flight.fetch_add(1, std::memory_order_acq_rel);
-
-  Attempt primary = exchange(upstream, request, kind);
-  Attempt* winner = &primary;
-  std::chrono::nanoseconds effective = primary.latency;
-  bool hedged = false;
-  bool hedge_won = false;
-  Attempt hedge;
-  const auto delay = hedge_delay(upstream);
-  if (delay && (primary.transport || primary.latency > *delay)) {
-    // The race, resolved in (virtual) time arithmetic: the hedge is issued
-    // either at the hedge delay (slow primary) or the moment the primary's
-    // transport failure surfaces, whichever the timeline dictates.
-    hedged = true;
-    hedge = exchange(upstream, request, kind);
-    const auto issued = primary.transport ? std::min(primary.latency, *delay) : *delay;
-    const auto hedge_done = issued + hedge.latency;
-    const bool primary_wins =
-        !primary.transport && (hedge.transport || primary.latency <= hedge_done);
-    if (!primary_wins && !hedge.transport) {
-      winner = &hedge;
-      effective = hedge_done;
-      hedge_won = true;
-    } else if (primary.transport && hedge.transport) {
-      // Both died: the primary's failure is THE outcome, the hedge is a
-      // cancelled loser — never double-accounted.
-      effective = primary.latency;
-    }
+  const auto start = chaos::now_or_real(options_.clock);
+  bool transport = false;
+  chaos::Fault fault;
+  if (options_.faults != nullptr) {
+    fault = options_.faults->next(chaos::FaultSite::kExchange, upstream.id);
+  }
+  switch (fault.kind) {
+    case chaos::FaultKind::kConnectRefused:
+    case chaos::FaultKind::kConnectionReset:
+      transport = true;
+      break;
+    case chaos::FaultKind::kHttp429:
+      refusal_of(result.answer) = error_response(429, "injected_fault", "injected 429");
+      break;
+    case chaos::FaultKind::kHttp403:
+      refusal_of(result.answer) = error_response(403, "injected_fault", "injected 403");
+      break;
+    case chaos::FaultKind::kHttp500:
+      refusal_of(result.answer) = error_response(500, "injected_fault", "injected 500");
+      break;
+    case chaos::FaultKind::kLatency:
+      chaos::sleep_or_real(options_.clock, fault.latency);
+      [[fallthrough]];
+    default:
+      try {
+        result.answer = exchange(*upstream.shard);
+      } catch (...) {
+        transport = true;
+      }
+      break;
   }
   upstream.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  upstream.admission->observe(effective);
-
-  // Breaker and latency bookkeeping: the breaker sees the winner only; the
-  // hedge-delay reservoir sees primary successes only (hedged completions
-  // would bias the quantile toward the hedge path).
-  const bool winner_failed = winner->transport || winner->response.status >= 500;
-  if (winner_failed) {
+  upstream.admission->observe(chaos::now_or_real(options_.clock) - start);
+  if (transport || refusal_of(result.answer).status >= 500) {
     (void)breaker->record_failure();
   } else {
     breaker->record_success();
   }
-  if (!primary.transport && primary.response.status < 500) {
-    record_latency(upstream, primary.latency);
-  }
-  {
-    const std::lock_guard lock(stats_mutex_);
-    stats_.upstream_calls += hedged ? 2 : 1;
-    if (hedged) {
-      ++stats_.hedges;
-      ++stats_.hedges_cancelled;  // exactly one loser per hedged race
-      if (hedge_won) ++stats_.hedge_wins;
-    }
-  }
-  if (hedged) {
-    hedges_issued_->inc();
-    hedges_cancelled_->inc();
-    if (hedge_won) hedges_won_->inc();
-  }
-  upstream_calls_->inc(hedged ? 2 : 1);
-
-  result.status = winner->transport ? CallStatus::kTransport : CallStatus::kOk;
-  result.response = std::move(winner->response);
-  result.partial = std::move(winner->partial);
-  result.latency = effective;
+  upstream_calls_->inc();
+  result.status = transport ? CallStatus::kTransport : CallStatus::kOk;
   return result;
 }
 
-std::vector<FederationGateway::CallResult> FederationGateway::scatter(
-    const net::HttpRequest& request, CallKind kind) {
-  std::vector<CallResult> results;
+template <class Answer, class Exchange>
+std::vector<FederationGateway::CallResult<Answer>> FederationGateway::scatter(
+    Exchange&& exchange) {
+  std::vector<CallResult<Answer>> results;
   results.reserve(upstreams_.size());
   for (const auto& upstream : upstreams_) {
-    results.push_back(call_upstream(*upstream, request, kind));
+    results.push_back(call_upstream<Answer>(*upstream, exchange));
   }
   return results;
+}
+
+market::Day FederationGateway::request_day() const {
+  std::optional<market::Day> day;
+  for (const auto& upstream : upstreams_) {
+    if (const std::optional<market::Day> published = upstream->shard->day()) {
+      day = day ? std::min(*day, *published) : *published;
+    }
+  }
+  return day.value_or(0);
 }
 
 // ---- outcome mapping -------------------------------------------------------
@@ -415,9 +248,8 @@ FederationGateway::Routed FederationGateway::classify(net::HttpResponse response
   return routed;
 }
 
-FederationGateway::Routed FederationGateway::from_call(CallResult result) const {
-  switch (result.status) {
-    case CallStatus::kOk: return classify(std::move(result.response));
+FederationGateway::Routed FederationGateway::unanswered(CallStatus status) const {
+  switch (status) {
     case CallStatus::kTransport:
       return {error_response(502, "upstream_transport", "shard exchange failed"),
               Outcome::kTransport};
@@ -428,31 +260,24 @@ FederationGateway::Routed FederationGateway::from_call(CallResult result) const 
                       options_.breaker.open_timeout)
                       .count()),
               Outcome::kBreakerOpen};
+    case CallStatus::kOk:
     case CallStatus::kShed: break;
   }
   return {error_response(503, "admission_shed", "shard admission refused", 1000),
           Outcome::kShed};
 }
 
+template <class Answer>
 std::optional<FederationGateway::Routed> FederationGateway::scatter_error(
-    const std::vector<CallResult>& results) const {
+    const std::vector<CallResult<Answer>>& results) const {
   for (const auto status : {CallStatus::kBreakerOpen, CallStatus::kShed,
                             CallStatus::kTransport}) {
     for (const auto& result : results) {
-      if (result.status == status) {
-        CallResult copy;
-        copy.status = status;
-        return from_call(std::move(copy));
-      }
+      if (result.status == status) return unanswered(status);
     }
   }
   for (const auto& result : results) {
-    if (result.response.status != 200) {
-      CallResult copy;
-      copy.status = CallStatus::kOk;
-      copy.response = result.response;
-      return from_call(std::move(copy));
-    }
+    if (refusal_of(result.answer).status != 200) return classify(refusal_of(result.answer));
   }
   return std::nullopt;
 }
@@ -466,56 +291,26 @@ FederationGateway::Routed FederationGateway::route_single(const net::HttpRequest
     return {error_response(503, "no_upstreams", "ring owner not registered"),
             Outcome::kShed};
   }
-  return from_call(call_upstream(*upstream, request));
+  CallResult<net::HttpResponse> result = call_upstream<net::HttpResponse>(
+      *upstream, [&](Shard& shard) { return shard.respond(request); });
+  if (result.status != CallStatus::kOk) return unanswered(result.status);
+  return classify(std::move(result.answer));
 }
 
-FederationGateway::Routed FederationGateway::route_apps(const net::HttpRequest& request) {
-  const auto results = scatter(request);
+FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& request) {
+  const market::Day day = request_day();
+  auto results = scatter<crawlersim::AppResponse>(
+      [&](Shard& shard) { return shard.app(request, day); });
   if (auto error = scatter_error(results)) return std::move(*error);
-  // The directory is replicated entity state: every shard must serve the
-  // identical page. A divergence means a shard's entity replica is corrupt —
-  // surfacing it beats silently picking one.
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    if (results[i].response.body != results.front().response.body) {
-      return {error_response(502, "shard_divergence", "replicated directory differs"),
-              Outcome::kHttp5xx};
-    }
-  }
-  return classify(results.front().response);
-}
-
-FederationGateway::Routed FederationGateway::route_app(const net::HttpRequest& request,
-                                                       std::string_view rest) {
-  (void)rest;
-  const auto results = scatter(request);
-  if (auto error = scatter_error(results)) return std::move(*error);
-  std::uint64_t downloads = 0;
-  std::optional<Json> first;
-  for (const auto& result : results) {
-    auto document = crawlersim::parse_json(result.response.body);
-    if (!document || !document->is_object()) {
-      return {error_response(502, "bad_upstream_body", "unparseable shard response"),
-              Outcome::kHttp5xx};
-    }
-    const Json* field = document->find("downloads");
-    if (field == nullptr || !field->is_number()) {
-      return {error_response(502, "bad_upstream_body", "shard response lacks downloads"),
-              Outcome::kHttp5xx};
-    }
-    downloads += field->as_u64();
-    if (!first) first = std::move(document);
-  }
   // Entity fields are replicated; only the download count is sharded.
-  JsonObject merged = first->as_object();
-  for (auto& member : merged) {
-    if (member.first == "downloads") member.second = Json(downloads);
-  }
-  return classify(net::HttpResponse::json(200, Json(std::move(merged)).dump()));
+  std::uint64_t downloads = 0;
+  for (const auto& result : results) downloads += result.answer.value.downloads;
+  crawlersim::AppDetail& app = results.front().answer.value;
+  app.downloads = downloads;
+  return classify(net::HttpResponse::json(200, crawlersim::app_body(app)));
 }
 
-FederationGateway::Routed FederationGateway::route_comments(const net::HttpRequest& request,
-                                                            std::string_view rest) {
-  constexpr std::uint64_t kPerPage = 200;  // the shard services' fixed page size
+FederationGateway::Routed FederationGateway::route_comments(const net::HttpRequest& request) {
   const auto params = request.query();
   std::uint64_t page = 0;
   if (const auto it = params.find("page"); it != params.end()) {
@@ -523,84 +318,39 @@ FederationGateway::Routed FederationGateway::route_comments(const net::HttpReque
       return {error_response(400, "bad_request", "bad page"), Outcome::kHttp4xx};
     }
   }
-  const std::string base_path = request.path();
+  const market::Day day = request_day();
+  const std::size_t max_rows = options_.comment_scan_pages * crawlersim::kCommentsPerPage;
+  const auto results = scatter<crawlersim::CommentsResponse>(
+      [&](Shard& shard) { return shard.comments(request, day, max_rows); });
+  if (auto error = scatter_error(results)) return std::move(*error);
 
-  struct MergedComment {
-    std::int64_t day = 0;
-    std::size_t shard = 0;
-    std::uint64_t position = 0;
-    std::string body;  ///< the comment object, re-serialized
-  };
-  std::vector<MergedComment> rows;
   std::uint64_t total = 0;
-  std::string app_field;
-  for (std::size_t shard = 0; shard < upstreams_.size(); ++shard) {
-    std::uint64_t shard_total = 0;
-    std::uint64_t position = 0;
-    for (std::uint64_t shard_page = 0;; ++shard_page) {
-      if (shard_page >= options_.comment_scan_pages) {
-        return {error_response(502, "comment_scan_overflow",
-                               "per-shard comment pages exceed the merge bound"),
-                Outcome::kHttp5xx};
-      }
-      net::HttpRequest page_request = request;
-      page_request.target = util::format("{}?page={}", base_path, shard_page);
-      CallResult result = call_upstream(*upstreams_[shard], page_request);
-      if (result.status != CallStatus::kOk || result.response.status != 200) {
-        std::vector<CallResult> one;
-        one.push_back(std::move(result));
-        return *scatter_error(one);
-      }
-      const auto document = crawlersim::parse_json(result.response.body);
-      const Json* total_field = document ? document->find("total") : nullptr;
-      const Json* comments_field = document ? document->find("comments") : nullptr;
-      if (total_field == nullptr || !total_field->is_number() ||
-          comments_field == nullptr || !comments_field->is_array()) {
-        return {error_response(502, "bad_upstream_body", "unparseable shard comments"),
-                Outcome::kHttp5xx};
-      }
-      if (shard_page == 0) {
-        shard_total = total_field->as_u64();
-        total += shard_total;
-        if (app_field.empty()) {
-          if (const Json* app = document->find("app"); app != nullptr && app->is_number()) {
-            app_field = std::to_string(app->as_u64());
-          }
-        }
-      }
-      for (const Json& comment : comments_field->as_array()) {
-        MergedComment row;
-        const Json* day = comment.find("day");
-        row.day = day != nullptr && day->is_number()
-                      ? static_cast<std::int64_t>(day->as_number())
-                      : 0;
-        row.shard = shard;
-        row.position = position++;
-        row.body = comment.dump();
-        rows.push_back(std::move(row));
-      }
-      if ((shard_page + 1) * kPerPage >= shard_total) break;
+  std::vector<const events::Event*> rows;
+  for (const auto& result : results) {
+    const crawlersim::CommentsPage& shard_page = result.answer.value;
+    if (shard_page.total > max_rows) {
+      return {error_response(502, "comment_scan_overflow",
+                             "per-shard comment pages exceed the merge bound"),
+              Outcome::kHttp5xx};
     }
+    total += shard_page.total;
+    for (const events::Event& row : shard_page.rows) rows.push_back(&row);
   }
   // Deterministic merged order: day, then ring-membership order, then the
-  // shard's own append order (docs/federation.md documents that this is a
-  // stable federation order, not the single store's byte order).
-  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.day, a.shard, a.position) < std::tie(b.day, b.shard, b.position);
+  // shard's own append order — the order `rows` was filled in, which the
+  // stable sort keeps within a day (docs/federation.md documents that this
+  // is a stable federation order, not the single store's byte order).
+  std::stable_sort(rows.begin(), rows.end(), [](const events::Event* a, const events::Event* b) {
+    return a->day < b->day;
   });
-
-  std::string body = "{\"app\": ";
-  body += app_field.empty() ? std::string(rest) : app_field;
-  body += util::format(", \"total\": {}, \"page\": {}, \"comments\": [", total, page);
-  const std::uint64_t first = page * kPerPage;
-  bool wrote = false;
-  for (std::uint64_t i = first; i < rows.size() && i < first + kPerPage; ++i) {
-    if (wrote) body += ", ";
-    body += rows[i].body;
-    wrote = true;
+  std::vector<events::Event> slice;
+  const std::uint64_t first = page * crawlersim::kCommentsPerPage;
+  for (std::uint64_t i = first; i < rows.size() && i - first < crawlersim::kCommentsPerPage;
+       ++i) {
+    slice.push_back(*rows[i]);
   }
-  body += "]}";
-  return classify(net::HttpResponse::json(200, std::move(body)));
+  return classify(net::HttpResponse::json(
+      200, crawlersim::comments_body(results.front().answer.value.app, total, page, slice)));
 }
 
 FederationGateway::Routed FederationGateway::route_query(const net::HttpRequest& request) {
@@ -615,17 +365,24 @@ FederationGateway::Routed FederationGateway::route_query(const net::HttpRequest&
   if (const auto user = query::single_user_route(spec)) {
     return route_single(request, static_cast<std::uint64_t>(*user));
   }
-  // Every shard answers its typed fragment (a 200 result always carries one).
-  const auto results = scatter(request, CallKind::kPartial);
+  const market::Day day = request_day();
+  const auto results = scatter<crawlersim::PartialResponse>(
+      [&](Shard& shard) { return shard.partial(request, day); });
   if (auto error = scatter_error(results)) return std::move(*error);
 
   std::vector<const query::PartialAggregate*> partials;
   partials.reserve(results.size());
-  for (const auto& result : results) partials.push_back(result.partial.get());
+  for (const auto& result : results) {
+    if (result.answer.value == nullptr) {
+      return {error_response(502, "bad_upstream_body", "shard answered no partial"),
+              Outcome::kHttp5xx};
+    }
+    partials.push_back(result.answer.value.get());
+  }
   try {
     const query::QueryResult merged = query::merge_partials(spec, partials);
     return classify(net::HttpResponse::json(
-        200, crawlersim::query_result_json(merged, partials.back()->day).dump()));
+        200, crawlersim::query_result_json(merged, partials.front()->day).dump()));
   } catch (const query::QueryError& error) {
     return {error_response(502, "shard_divergence", error.what()), Outcome::kHttp5xx};
   }

@@ -308,12 +308,15 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
           entries.push_back({static_cast<std::uint32_t>(app), counts[app]});
         }
       }
-      std::sort(entries.begin(), entries.end(),
-                [](const TopKEntry& a, const TopKEntry& b) {
-                  if (a.downloads != b.downloads) return a.downloads > b.downloads;
-                  return a.app < b.app;
-                });
-      if (entries.size() > spec.k) entries.resize(spec.k);
+      // Downloads descending, then app id: a strict total order, so the
+      // first k are the same as a full sort's.
+      const std::size_t keep = std::min<std::size_t>(spec.k, entries.size());
+      std::partial_sort(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(keep),
+                        entries.end(), [](const TopKEntry& a, const TopKEntry& b) {
+                          if (a.downloads != b.downloads) return a.downloads > b.downloads;
+                          return a.app < b.app;
+                        });
+      entries.resize(keep);
       result.top = std::move(entries);
       break;
     }

@@ -38,6 +38,11 @@ QueryResult merge_partials(const QuerySpec& spec,
                        util::format("merge: partial kind '{}' does not match query '{}'",
                                     to_string(partial->kind), to_string(spec.kind)));
     }
+    if (partial->day != partials.front()->day) {
+      throw QueryError("merge_mismatch",
+                       util::format("merge: partials aggregated up to days {} and {}",
+                                    partials.front()->day, partial->day));
+    }
     result.index_scans += partial->index_scans;
     result.column_scans += partial->column_scans;
     result.residual_filters += partial->residual_filters;

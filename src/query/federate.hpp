@@ -29,10 +29,11 @@
 namespace appstore::query {
 
 /// Merges shard partials (non-null, typically held by the shards' response
-/// caches) into the federated answer. All partials must share
-/// the query's kind and (for download kinds) the same dense app universe;
-/// a mismatch throws QueryError("merge_mismatch") — it means the shards
-/// were built from different store configurations. Throws on an empty span.
+/// caches) into the federated answer. All partials must share the query's
+/// kind, the day they were aggregated up to and (for download kinds) the
+/// same dense app universe; a mismatch throws QueryError("merge_mismatch")
+/// — the shards answered at different days, or were built from different
+/// store configurations. Throws on an empty span.
 [[nodiscard]] QueryResult merge_partials(const QuerySpec& spec,
                                          std::span<const PartialAggregate* const> partials);
 

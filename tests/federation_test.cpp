@@ -4,11 +4,10 @@
 //   * HashRing — load balance within +-25% of uniform across 1000 derived
 //     seeds at 64 vnodes, and the consistent-hashing contract: a join moves
 //     ~1/N of the keys, all TO the newcomer; a leave restores ownership.
-//   * Hedged requests — replayed on a chaos::VirtualClock so the race is
-//     deterministic: the hedge fires only after the configured delay, the
-//     losing attempt is cancelled (never an outcome), and
+//   * Outcome accounting — every respond() lands in exactly one bucket,
 //       requests == ok + http_4xx + http_5xx + transport + breaker_open + shed
-//     holds exactly, including under fault plans that kill the primary.
+//     including under fault plans that kill shard calls; a dead shard is one
+//     transport outcome per request until its breaker opens.
 //   * Cross-shard parity — fig2 pareto, fig6 affinity and the fig8 rank
 //     curve served through the gateway at 1/2/4 shards are element-wise
 //     identical (EXPECT_EQ on the parsed doubles — the JSON number path
@@ -16,12 +15,17 @@
 //     and land inside the same checked-in goldens golden_test pins.
 //   * net::UpstreamTable — the per-upstream breaker table stays bounded
 //     under membership churn (the TokenBucketLimiter eviction policy).
-//   * Typed partials — gateways over Federation::attach (typed
-//     respond_partial calls) and over HTTP-only upstreams (the JSON adapter)
-//     answer byte-identical bodies and identical refusal outcomes; a typed
-//     call is a shard cache hit the second time, and a fragment the gateway
-//     holds outlives the shard cache's clear at capacity, also while other
-//     threads sweep the cache.
+//   * Typed shard calls — gateways over Federation::attach (ServiceShards)
+//     and over HTTP-only upstreams (HttpShards) answer byte-identical bodies
+//     for every app, comments page, directory page and parity query, and
+//     identical refusal outcomes; /app/<id> equals the single store's body;
+//     attach refuses shards whose replicated entity state differs; a typed
+//     partial is a shard cache hit the second time, and a fragment the
+//     gateway holds outlives the shard cache's clear at capacity, also while
+//     other threads sweep the cache.
+//   * One day per request — merge_partials refuses fragments of two days,
+//     and scatter queries and app pages racing Federation::set_day answer
+//     exactly as a single store does at one of the two days.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,9 +46,11 @@
 #include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
+#include "events/live_log.hpp"
 #include "fed/federation.hpp"
 #include "fed/gateway.hpp"
 #include "fed/ring.hpp"
+#include "fed/shard.hpp"
 #include "load/harness.hpp"
 #include "load/workload.hpp"
 #include "net/http.hpp"
@@ -208,178 +214,65 @@ TEST(UpstreamTable, StaysBoundedAndEvictsStalest) {
   EXPECT_EQ(table.evictions(), evicted + 1);
 }
 
+/// An /api/v1/app/1 body an HttpShard decodes.
+constexpr std::string_view kAppBody =
+    "{\"id\":1,\"name\":\"a\",\"category\":\"c\",\"developer\":\"d\",\"paid\":false,"
+    "\"price\":0,\"downloads\":3,\"version\":1,\"has_ads\":false,\"released\":0}";
+
 TEST(UpstreamTable, GatewayBreakerStateBoundedUnderChurn) {
   fed::GatewayOptions options;
   options.max_upstream_keys = 8;
   fed::FederationGateway gateway(options);
-  const auto body = net::HttpResponse::json(200, "{\"page\": 0, \"ids\": []}");
+  const auto body = net::HttpResponse::json(200, std::string(kAppBody));
   for (int i = 0; i < 32; ++i) {
     gateway.add_upstream(util::format("shard-{}", i),
                          [body](const net::HttpRequest&) { return body; });
   }
   // One scatter touches every upstream's breaker entry; the table must hold
   // the cap even though 32 upstreams are live.
-  const auto response = gateway.respond(get("/api/v1/apps?page=0"));
+  const auto response = gateway.respond(get("/api/v1/app/1"));
   EXPECT_EQ(response.status, 200);
   EXPECT_LE(gateway.upstreams().tracked_keys(), options.max_upstream_keys);
   EXPECT_GT(gateway.upstreams().evictions(), 0u);
   expect_fully_accounted(gateway.stats());
 }
 
-// ---- deterministic hedging on the virtual clock ----------------------------------
+// ---- breaker on the virtual clock ------------------------------------------------
 
-/// A gateway with one upstream whose call sleeps `latency` on the virtual
-/// clock and answers 200.
-struct HedgeRig {
-  chaos::VirtualClock clock;
-  std::unique_ptr<fed::FederationGateway> gateway;
-  std::chrono::nanoseconds latency{0};
-
-  explicit HedgeRig(fed::GatewayOptions options) {
-    options.clock = &clock;
-    gateway = std::make_unique<fed::FederationGateway>(options);
-    gateway->add_upstream("shard-0", [this](const net::HttpRequest&) {
-      chaos::sleep_or_real(&clock, latency);
-      return net::HttpResponse::json(200, "{\"store\": \"rig\"}");
-    });
-  }
-};
-
-TEST(HedgedRequests, FiresOnlyAfterConfiguredDelay) {
-  fed::GatewayOptions options;
-  options.hedge_delay = 10ms;
-  HedgeRig rig(options);
-
-  rig.latency = 5ms;  // under the delay: no hedge
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  EXPECT_EQ(rig.gateway->stats().hedges, 0u);
-
-  rig.latency = 10ms;  // exactly the delay: still no hedge
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  EXPECT_EQ(rig.gateway->stats().hedges, 0u);
-
-  rig.latency = 25ms;  // past the delay: the hedge races (and loses — the
-                       // second attempt is just as slow, issued 10ms later)
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  const auto stats = rig.gateway->stats();
-  EXPECT_EQ(stats.hedges, 1u);
-  EXPECT_EQ(stats.hedge_wins, 0u);
-  EXPECT_EQ(stats.hedges_cancelled, 1u);  // exactly one cancelled loser
-  EXPECT_EQ(stats.requests, 3u);
-  EXPECT_EQ(stats.ok, 3u);
-  EXPECT_EQ(stats.upstream_calls, 4u);  // 3 primaries + 1 hedge
-  expect_fully_accounted(stats);
-}
-
-TEST(HedgedRequests, DisabledMeansNoRace) {
-  fed::GatewayOptions options;
-  options.hedge_enabled = false;
-  options.hedge_delay = 10ms;
-  HedgeRig rig(options);
-  rig.latency = 100ms;
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  EXPECT_EQ(rig.gateway->stats().hedges, 0u);
-  EXPECT_EQ(rig.gateway->stats().upstream_calls, 1u);
-}
-
-TEST(HedgedRequests, WinnerCancelsSlowPrimary) {
-  // The fault plan delays exactly one exchange by 50ms; the retry (the
-  // hedge) is clean. With a 10ms hedge delay the hedge completes at virtual
-  // t = 10ms, beating the primary's 50ms: it must win, and the race must
-  // still account exactly one outcome.
-  chaos::FaultPlan plan;
-  plan.seed = 7;
-  plan.max_faults_per_key = 1;
-  plan.rules.push_back({chaos::FaultSite::kExchange, chaos::FaultKind::kLatency,
-                        /*probability=*/1.0, /*latency=*/50ms});
-  chaos::FaultInjector injector(plan);
-
-  fed::GatewayOptions options;
-  options.hedge_delay = 10ms;
-  options.faults = &injector;
-  HedgeRig rig(options);
-
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  const auto stats = rig.gateway->stats();
-  EXPECT_EQ(stats.hedges, 1u);
-  EXPECT_EQ(stats.hedge_wins, 1u);
-  EXPECT_EQ(stats.hedges_cancelled, 1u);
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.ok, 1u);  // the loser is cancelled, never an outcome
-  expect_fully_accounted(stats);
-}
-
-TEST(HedgedRequests, HedgeRecoversTransportDeadPrimary) {
-  chaos::FaultPlan plan;
-  plan.seed = 11;
-  plan.max_faults_per_key = 1;  // only the primary dies; the hedge is clean
-  plan.rules.push_back({chaos::FaultSite::kExchange, chaos::FaultKind::kConnectionReset,
-                        /*probability=*/1.0, /*latency=*/0ms});
-  chaos::FaultInjector injector(plan);
-
-  fed::GatewayOptions options;
-  options.hedge_delay = 10ms;
-  options.faults = &injector;
-  HedgeRig rig(options);
-
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  const auto stats = rig.gateway->stats();
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.ok, 1u);
-  EXPECT_EQ(stats.transport, 0u);  // the reset primary became the cancelled loser
-  EXPECT_EQ(stats.hedge_wins, 1u);
-  expect_fully_accounted(stats);
-}
-
-TEST(HedgedRequests, BothAttemptsDeadIsOneTransportOutcomeThenBreakerOpens) {
+TEST(Gateway, DeadShardIsOneTransportOutcomeEachThenBreakerOpens) {
   chaos::FaultPlan plan;
   plan.seed = 13;
-  plan.max_faults_per_key = 0;  // uncapped: primary AND hedge die, forever
+  plan.max_faults_per_key = 0;  // uncapped: every call dies
   plan.rules.push_back({chaos::FaultSite::kExchange, chaos::FaultKind::kConnectionReset,
                         /*probability=*/1.0, /*latency=*/0ms});
   chaos::FaultInjector injector(plan);
 
+  chaos::VirtualClock clock;
   fed::GatewayOptions options;
-  options.hedge_delay = 10ms;
+  options.clock = &clock;
   options.faults = &injector;
-  HedgeRig rig(options);
+  fed::FederationGateway gateway(options);
+  gateway.add_upstream("shard-0", [](const net::HttpRequest&) {
+    return net::HttpResponse::json(200, "{\"store\": \"rig\"}");
+  });
 
-  // Default breaker: 5 consecutive failures trip open. Each hedged race
-  // records exactly one failure (the winner's), so responds 1..5 are
-  // transport outcomes and respond 6 is answered from the open breaker.
+  // Default breaker: 5 consecutive failures trip open. Each call records
+  // exactly one failure, so responds 1..5 are transport outcomes and
+  // respond 6 is answered from the open breaker without calling the shard.
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 502);
+    EXPECT_EQ(gateway.respond(get("/api/v1/meta")).status, 502);
   }
-  const auto response = rig.gateway->respond(get("/api/v1/meta"));
+  const auto response = gateway.respond(get("/api/v1/meta"));
   EXPECT_EQ(response.status, 503);
   EXPECT_NE(response.body.find("breaker_open"), std::string::npos) << response.body;
 
-  const auto stats = rig.gateway->stats();
+  const auto stats = gateway.stats();
   EXPECT_EQ(stats.requests, 6u);
   EXPECT_EQ(stats.transport, 5u);
   EXPECT_EQ(stats.breaker_open, 1u);
-  EXPECT_EQ(stats.hedges, 5u);
-  EXPECT_EQ(stats.hedge_wins, 0u);
-  EXPECT_EQ(stats.hedges_cancelled, 5u);
+  EXPECT_EQ(stats.upstream_calls, 5u);
+  EXPECT_EQ(stats.hedges, 0u);
   expect_fully_accounted(stats);
-}
-
-TEST(HedgedRequests, DerivedDelayArmsAfterMinSamples) {
-  fed::GatewayOptions options;
-  options.hedge_delay = 0ns;  // derive from the observed latency quantile
-  options.hedge_min_samples = 4;
-  HedgeRig rig(options);
-
-  rig.latency = 1ms;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  }
-  EXPECT_EQ(rig.gateway->stats().hedges, 0u);  // not armed until min samples
-
-  rig.latency = 5ms;  // now well past the derived ~1ms p95
-  EXPECT_EQ(rig.gateway->respond(get("/api/v1/meta")).status, 200);
-  EXPECT_EQ(rig.gateway->stats().hedges, 1u);
-  expect_fully_accounted(rig.gateway->stats());
 }
 
 // ---- gateway error surfaces ------------------------------------------------------
@@ -393,32 +286,21 @@ TEST(Gateway, NoUpstreamsIsShed) {
   expect_fully_accounted(gateway.stats());
 }
 
-TEST(Gateway, ReplicatedDirectoryDivergenceIs502) {
-  fed::FederationGateway gateway;
-  gateway.add_upstream("shard-0", [](const net::HttpRequest&) {
-    return net::HttpResponse::json(200, "{\"page\": 0, \"ids\": [1]}");
-  });
-  gateway.add_upstream("shard-1", [](const net::HttpRequest&) {
-    return net::HttpResponse::json(200, "{\"page\": 0, \"ids\": [2]}");
-  });
-  const auto response = gateway.respond(get("/api/v1/apps?page=0"));
-  EXPECT_EQ(response.status, 502);
-  EXPECT_NE(response.body.find("shard_divergence"), std::string::npos);
-  expect_fully_accounted(gateway.stats());
-}
-
 TEST(Gateway, CommentMergeRefusesUnboundedScan) {
   fed::GatewayOptions options;
   options.comment_scan_pages = 1;
   fed::FederationGateway gateway(options);
   // total = 1000 needs 5 pages of 200; the 1-page bound must refuse, not scan.
-  gateway.add_upstream("shard-0", [](const net::HttpRequest&) {
+  std::size_t pages = 0;
+  gateway.add_upstream("shard-0", [&pages](const net::HttpRequest&) {
+    ++pages;
     return net::HttpResponse::json(
         200, "{\"app\": 1, \"total\": 1000, \"page\": 0, \"comments\": []}");
   });
   const auto response = gateway.respond(get("/api/v1/app/1/comments"));
   EXPECT_EQ(response.status, 502);
   EXPECT_NE(response.body.find("comment_scan_overflow"), std::string::npos);
+  EXPECT_EQ(pages, 1u);
   expect_fully_accounted(gateway.stats());
 }
 
@@ -453,7 +335,6 @@ TEST(Gateway, AccountingInvariantHoldsUnderFaultPlanLoad) {
   fed::GatewayOptions gateway_options;
   gateway_options.clock = &clock;
   gateway_options.faults = &injector;
-  gateway_options.hedge_delay = 1ms;
   fed::FederationGateway gateway(gateway_options);
   federation.attach(gateway);
 
@@ -487,31 +368,12 @@ TEST(Gateway, AccountingInvariantHoldsUnderFaultPlanLoad) {
   EXPECT_GT(stats.ok, 0u);
   EXPECT_GT(stats.transport + stats.breaker_open, 0u);
   EXPECT_GT(stats.http_5xx + stats.transport, 0u);
-  EXPECT_EQ(stats.hedges, stats.hedges_cancelled);
-  EXPECT_GE(stats.hedges, stats.hedge_wins);
-
-  // The exported gateway_* families count exactly what the stats count.
-  const obs::Snapshot snapshot = gateway.metrics().snapshot();
-  const auto counter = [&](std::string_view name, std::string_view label) {
-    const obs::CounterSample* sample = snapshot.find_counter(name, label);
-    return sample == nullptr ? ~std::uint64_t{0} : sample->value;
-  };
-  EXPECT_EQ(counter("gateway_requests_total", "ok"), stats.ok);
-  EXPECT_EQ(counter("gateway_requests_total", "http_4xx"), stats.http_4xx);
-  EXPECT_EQ(counter("gateway_requests_total", "http_5xx"), stats.http_5xx);
-  EXPECT_EQ(counter("gateway_requests_total", "transport"), stats.transport);
-  EXPECT_EQ(counter("gateway_requests_total", "breaker_open"), stats.breaker_open);
-  EXPECT_EQ(counter("gateway_requests_total", "shed"), stats.shed);
-  EXPECT_EQ(counter("gateway_upstream_calls_total", ""), stats.upstream_calls);
-  EXPECT_EQ(counter("gateway_hedges_total", "issued"), stats.hedges);
-  EXPECT_EQ(counter("gateway_hedges_total", "won"), stats.hedge_wins);
-  EXPECT_EQ(counter("gateway_hedges_total", "cancelled"), stats.hedges_cancelled);
 }
 
 // ---- cross-shard parity against the single store and the goldens -----------------
 
-/// A gateway over `federation` whose upstreams register respond() alone, so
-/// scatter queries take the JSON adapter instead of respond_partial().
+/// A gateway over `federation` whose upstreams register respond() alone
+/// (HttpShards), so every shard call passes through JSON.
 [[nodiscard]] std::unique_ptr<fed::FederationGateway> http_only_gateway(
     const fed::Federation& federation, fed::GatewayOptions options = {}) {
   auto gateway = std::make_unique<fed::FederationGateway>(std::move(options));
@@ -532,7 +394,7 @@ class FederationParity : public ::testing::Test {
     std::vector<std::size_t> shard_counts{1, 2, 4};
     std::vector<fed::Federation> federations;
     std::vector<std::unique_ptr<fed::FederationGateway>> gateways;
-    /// The same shards registered with their HTTP call alone (JSON adapter).
+    /// The same shards registered with their HTTP call alone (HttpShards).
     std::vector<std::unique_ptr<fed::FederationGateway>> http_gateways;
   };
 
@@ -580,6 +442,11 @@ class FederationParity : public ::testing::Test {
   [[nodiscard]] static net::HttpResponse gateway(std::size_t index,
                                                  const std::string& target) {
     return world_->gateways[index]->respond(get(target));
+  }
+
+  [[nodiscard]] static net::HttpResponse http_gateway(std::size_t index,
+                                                      const std::string& target) {
+    return world_->http_gateways[index]->respond(get(target));
   }
 
   [[nodiscard]] static crawlersim::Json parse_ok(const net::HttpResponse& response) {
@@ -690,37 +557,6 @@ TEST_F(FederationParity, RankCurveBitExactAndInsideFig8MeasuredGolden) {
     }
     EXPECT_EQ(merged.at("total_downloads").as_u64(),
               expected.at("total_downloads").as_u64());
-  }
-}
-
-TEST_F(FederationParity, ReplicatedDirectoryAndMetaAreByteIdentical) {
-  for (const std::string& target : std::vector<std::string>{
-           "/api/v1/apps?page=0", "/api/v1/apps?page=1", "/api/v1/meta"}) {
-    const auto expected = single_store(target);
-    ASSERT_EQ(expected.status, 200);
-    for (std::size_t i = 0; i < world_->shard_counts.size(); ++i) {
-      const auto merged = gateway(i, target);
-      ASSERT_EQ(merged.status, 200);
-      EXPECT_EQ(merged.body, expected.body)
-          << world_->shard_counts[i] << " shards, " << target;
-    }
-  }
-}
-
-TEST_F(FederationParity, AppDownloadsSumAcrossShards) {
-  const auto directory = parse_ok(single_store("/api/v1/apps?page=0"));
-  const auto& ids = directory.at("ids").as_array();
-  ASSERT_FALSE(ids.empty());
-  for (std::size_t n = 0; n < std::min<std::size_t>(ids.size(), 8); ++n) {
-    const std::string target = util::format("/api/v1/app/{}", ids[n].as_u64());
-    const auto expected = parse_ok(single_store(target));
-    for (std::size_t i = 0; i < world_->shard_counts.size(); ++i) {
-      const auto merged = parse_ok(gateway(i, target));
-      EXPECT_EQ(merged.at("downloads").as_u64(), expected.at("downloads").as_u64())
-          << world_->shard_counts[i] << " shards, " << target;
-      EXPECT_EQ(merged.at("name").as_string(), expected.at("name").as_string());
-      EXPECT_EQ(merged.at("category").as_string(), expected.at("category").as_string());
-    }
   }
 }
 
@@ -851,6 +687,46 @@ TEST_F(FederationParity, HttpOnlyUpstreamsAnswerByteIdenticalBodies) {
   }
 }
 
+TEST_F(FederationParity, TypedRoutesAnswerByteIdenticalBodies) {
+  // Meta, every directory page, and every app's detail and first two
+  // comments pages: ServiceShards and HttpShards must write the same bytes,
+  // and all but the merged comments must be the single store's own body —
+  // an app's summed downloads included.
+  const std::size_t apps = world_->single.store->apps().size();
+  std::vector<std::string> targets = {"/api/v1/meta"};
+  for (std::size_t page = 0; page <= apps / 100; ++page) {
+    targets.push_back(util::format("/api/v1/apps?page={}", page));
+  }
+  std::size_t commented = 0;
+  for (std::size_t id = 0; id < apps; ++id) {
+    targets.push_back(util::format("/api/v1/app/{}", id));
+    targets.push_back(util::format("/api/v1/app/{}/comments?page=0", id));
+    targets.push_back(util::format("/api/v1/app/{}/comments?page=1", id));
+    const auto comments = parse_ok(single_store(targets.back()));
+    if (comments.at("total").as_u64() > 0) ++commented;
+  }
+  ASSERT_GT(commented, 0u) << "no commented app at golden scale";
+
+  for (std::size_t i = 0; i < world_->shard_counts.size(); ++i) {
+    std::size_t differ = 0;
+    std::size_t unlike_single = 0;
+    for (const std::string& target : targets) {
+      const auto typed = gateway(i, target);
+      const auto http = http_gateway(i, target);
+      ASSERT_EQ(typed.status, 200) << target << " " << typed.body;
+      if (typed.status != http.status || typed.body != http.body) {
+        if (differ++ == 0) ADD_FAILURE() << target << ": " << typed.body << " vs " << http.body;
+      }
+      if (target.find("comments") == std::string::npos &&
+          typed.body != single_store(target).body) {
+        if (unlike_single++ == 0) ADD_FAILURE() << target << ": " << typed.body;
+      }
+    }
+    EXPECT_EQ(differ, 0u) << world_->shard_counts[i] << " shards";
+    EXPECT_EQ(unlike_single, 0u) << world_->shard_counts[i] << " shards";
+  }
+}
+
 TEST_F(FederationParity, ShardUnionMatchesSingleStoreEventCounts) {
   // The bring-up contract behind all of the above: disjoint user slices
   // whose union is the whole store.
@@ -864,12 +740,13 @@ TEST_F(FederationParity, ShardUnionMatchesSingleStoreEventCounts) {
   }
 }
 
-// ---- typed partial exchange ------------------------------------------------------
+// ---- typed shard calls -----------------------------------------------------------
 
 [[nodiscard]] fed::Federation small_federation(const crawlersim::ServicePolicy& policy,
-                                               std::size_t shards = 2) {
+                                               std::size_t shards = 2, bool comments = false) {
   synth::GeneratorConfig config = golden_config();
   config.app_scale = 0.005;
+  config.comments = comments;
   fed::FederationOptions options;
   options.profile = synth::anzhi();
   options.config = config;
@@ -902,62 +779,154 @@ void expect_same_partial(const query::PartialAggregate& a, const query::PartialA
   EXPECT_EQ(a.counts, b.counts);
 }
 
-TEST(TypedPartials, GatewayUsesTheRegisteredCall) {
-  // With a typed call registered, scatter queries never touch the HTTP
-  // call; without one, the adapter asks the HTTP call for the JSON form.
+/// A ServiceShard that logs which of its calls the gateway made.
+class RecordingShard final : public fed::Shard {
+ public:
+  explicit RecordingShard(crawlersim::AppstoreService& service) : inner_(service) {}
+
+  [[nodiscard]] std::optional<market::Day> day() const override { return inner_.day(); }
+  [[nodiscard]] net::HttpResponse respond(const net::HttpRequest& request) override {
+    calls.push_back("respond " + request.target);
+    return inner_.respond(request);
+  }
+  [[nodiscard]] crawlersim::PartialResponse partial(const net::HttpRequest& request,
+                                                    market::Day day) override {
+    calls.push_back("partial " + request.target);
+    return inner_.partial(request, day);
+  }
+  [[nodiscard]] crawlersim::AppResponse app(const net::HttpRequest& request,
+                                            market::Day day) override {
+    calls.push_back("app " + request.target);
+    return inner_.app(request, day);
+  }
+  [[nodiscard]] crawlersim::CommentsResponse comments(const net::HttpRequest& request,
+                                                      market::Day day,
+                                                      std::size_t max_rows) override {
+    calls.push_back("comments " + request.target);
+    return inner_.comments(request, day, max_rows);
+  }
+
+  std::vector<std::string> calls;
+
+ private:
+  fed::ServiceShard inner_;
+};
+
+TEST(TypedShards, GatewayRoutesThroughTheRegisteredShard) {
+  // Forwarded routes take respond(); app, comments and scatter queries take
+  // the typed calls, and never reach an HttpShard's exchange but as JSON.
   const fed::Federation federation = small_federation(unlimited_policy(), 1);
   crawlersim::AppstoreService* service = federation.services.front().get();
+  const std::vector<std::string> targets = {
+      "/api/v1/meta",         "/api/v1/apps?page=1",          "/api/v1/app/1/apk",
+      "/api/v1/app/1",        "/api/v1/app/1/comments?page=1", "/api/v1/query?kind=pareto_share",
+      "/api/v1/query?kind=top_k_downloads&filter=user==3"};
+
+  auto recording = std::make_shared<RecordingShard>(*service);
+  fed::FederationGateway typed;
+  typed.add_upstream("shard-0", recording);
+  for (const std::string& target : targets) {
+    ASSERT_EQ(typed.respond(get(target)).status, 200) << target;
+  }
+  EXPECT_EQ(recording->calls,
+            (std::vector<std::string>{
+                "respond /api/v1/meta", "respond /api/v1/apps?page=1",
+                "respond /api/v1/app/1/apk", "app /api/v1/app/1",
+                "comments /api/v1/app/1/comments?page=1",
+                "partial /api/v1/query?kind=pareto_share",
+                "respond /api/v1/query?kind=top_k_downloads&filter=user==3"}));
+
   std::vector<std::string> http_targets;
-  std::size_t typed_calls = 0;
-  const fed::FederationGateway::Call http = [&](const net::HttpRequest& request) {
+  fed::FederationGateway http;
+  http.add_upstream("shard-0", [&](const net::HttpRequest& request) {
     http_targets.push_back(request.target);
     return service->respond(request);
-  };
-
-  fed::FederationGateway typed;
-  typed.add_upstream("shard-0", http, [&](const net::HttpRequest& request) {
-    ++typed_calls;
-    return service->respond_partial(request);
   });
-  ASSERT_EQ(typed.respond(get("/api/v1/query?kind=pareto_share")).status, 200);
-  EXPECT_EQ(typed_calls, 1u);
-  EXPECT_TRUE(http_targets.empty());
-  ASSERT_EQ(typed.respond(get("/api/v1/meta")).status, 200);
-  EXPECT_EQ(typed_calls, 1u);
-  EXPECT_EQ(http_targets, std::vector<std::string>{"/api/v1/meta"});
-
-  http_targets.clear();
-  fed::FederationGateway adapted;
-  adapted.add_upstream("shard-0", http);
-  ASSERT_EQ(adapted.respond(get("/api/v1/query?kind=pareto_share")).status, 200);
+  for (const std::string& target : targets) {
+    ASSERT_EQ(http.respond(get(target)).status, 200) << target;
+  }
   EXPECT_EQ(http_targets,
-            std::vector<std::string>{"/api/v1/query?kind=pareto_share&partial=1"});
+            (std::vector<std::string>{"/api/v1/meta", "/api/v1/apps?page=1",
+                                      "/api/v1/app/1/apk", "/api/v1/app/1",
+                                      "/api/v1/app/1/comments?page=0",
+                                      "/api/v1/query?kind=pareto_share&partial=1",
+                                      "/api/v1/query?kind=top_k_downloads&filter=user==3"}));
 
-  // Federation::attach registers the typed call: the scatter leaves the
-  // shard's typed fragment cached for the next respond_partial.
+  // Federation::attach registers ServiceShards: the scatter leaves the
+  // shard's typed fragment cached for the next respond_partial at that day.
   fed::FederationGateway attached;
   federation.attach(attached);
   const net::HttpRequest curve = get("/api/v1/query?kind=rank_download_curve");
   ASSERT_EQ(attached.respond(curve).status, 200);
   const std::uint64_t hits =
       counter_value(service->metrics(), "service_response_cache_total", "hit");
-  ASSERT_NE(service->respond_partial(curve).partial, nullptr);
+  ASSERT_NE(service->respond_partial(curve, service->day()).value, nullptr);
   EXPECT_EQ(counter_value(service->metrics(), "service_response_cache_total", "hit"), hits + 1);
 }
 
-TEST(TypedPartials, UndecodableJsonPartialIs502) {
-  fed::FederationGateway gateway;
-  gateway.add_upstream("shard-0", [](const net::HttpRequest&) {
-    return net::HttpResponse::json(200, "{\"kind\": \"pareto_share\", \"partial\": true}");
-  });
-  const auto response = gateway.respond(get("/api/v1/query?kind=pareto_share"));
-  EXPECT_EQ(response.status, 502);
-  EXPECT_NE(response.body.find("bad_upstream_body"), std::string::npos) << response.body;
-  EXPECT_EQ(gateway.stats().http_5xx, 1u);
-  expect_fully_accounted(gateway.stats());
+TEST(TypedShards, UndecodableShardBodiesAre502) {
+  for (const auto& [target, body] : std::vector<std::pair<std::string, std::string>>{
+           {"/api/v1/query?kind=pareto_share", "{\"kind\": \"pareto_share\", \"partial\": true}"},
+           {"/api/v1/app/1", "{\"id\": 1, \"downloads\": 3}"},
+           {"/api/v1/app/1", "{\"id\":-1,\"name\":\"a\",\"category\":\"c\",\"developer\":\"d\","
+                             "\"paid\":false,\"price\":0,\"downloads\":3,\"version\":1,"
+                             "\"has_ads\":false,\"released\":0}"},
+           {"/api/v1/app/1", "not json"},
+           {"/api/v1/app/1/comments", "{\"app\": 1, \"total\": 1}"},
+           {"/api/v1/app/1/comments",
+            "{\"app\": 1, \"total\": 1, \"comments\": [{\"user\": 1.5, \"day\": 0, "
+            "\"ordinal\": 0, \"rating\": 5}]}"},
+       }) {
+    fed::FederationGateway gateway;
+    gateway.add_upstream("shard-0", [body = body](const net::HttpRequest&) {
+      return net::HttpResponse::json(200, body);
+    });
+    const auto response = gateway.respond(get(target));
+    EXPECT_EQ(response.status, 502) << target << " " << body;
+    EXPECT_NE(response.body.find("bad_upstream_body"), std::string::npos) << response.body;
+    EXPECT_EQ(gateway.stats().http_5xx, 1u);
+    expect_fully_accounted(gateway.stats());
+  }
 }
 
-TEST(TypedPartials, RefusalsMatchTheHttpPathOutcomes) {
+TEST(TypedShards, CommentMergeRefusesUnboundedScanFromServiceShards) {
+  const fed::Federation federation = small_federation(unlimited_policy(), 1, true);
+  crawlersim::AppstoreService& service = *federation.services.front();
+  std::uint32_t busiest = 0;
+  std::uint64_t most = 0;
+  for (std::uint32_t id = 0; id < federation.stores.front().store->apps().size(); ++id) {
+    const auto page = service.respond_comments(
+        get(util::format("/api/v1/app/{}/comments", id)), service.day(), 0);
+    ASSERT_FALSE(page.refused());
+    if (page.value.total > most) {
+      most = page.value.total;
+      busiest = id;
+    }
+  }
+  ASSERT_GT(most, 0u);
+  // The tightest bound the busiest app overflows (no page at this scale),
+  // then one page more.
+  const std::size_t pages = (most - 1) / crawlersim::kCommentsPerPage;
+  const std::string target = util::format("/api/v1/app/{}/comments", busiest);
+  for (const std::size_t bound : {pages, pages + 1}) {
+    fed::GatewayOptions options;
+    options.comment_scan_pages = bound;
+    fed::FederationGateway gateway(options);
+    federation.attach(gateway);
+    const auto response = gateway.respond(get(target));
+    if (bound == pages) {
+      EXPECT_EQ(response.status, 502) << response.body;
+      EXPECT_NE(response.body.find("comment_scan_overflow"), std::string::npos);
+    } else {
+      EXPECT_EQ(response.status, 200) << response.body;
+      EXPECT_NE(response.body.find(util::format("\"total\":{},", most)), std::string::npos)
+          << response.body;
+    }
+    expect_fully_accounted(gateway.stats());
+  }
+}
+
+TEST(TypedShards, RefusalsMatchTheHttpPathOutcomes) {
   const auto same_outcome = [](const fed::Federation& federation,
                                const fed::GatewayOptions& typed_options,
                                const fed::GatewayOptions& http_options,
@@ -965,8 +934,9 @@ TEST(TypedPartials, RefusalsMatchTheHttpPathOutcomes) {
     fed::FederationGateway typed(typed_options);
     federation.attach(typed);
     const auto http = http_only_gateway(federation, http_options);
-    for (const std::string target : {"/api/v1/query?kind=pareto_share",
-                                     "/api/v1/query?kind=category_affinity"}) {
+    for (const std::string target :
+         {"/api/v1/query?kind=pareto_share", "/api/v1/query?kind=category_affinity",
+          "/api/v1/app/1", "/api/v1/app/1/comments"}) {
       const auto via_typed = typed.respond(get(target));
       const auto via_http = http->respond(get(target));
       EXPECT_GE(via_typed.status, 400) << label;
@@ -1017,20 +987,39 @@ TEST(TypedPartials, RefusalsMatchTheHttpPathOutcomes) {
   }
 }
 
-TEST(TypedPartials, RepeatedTypedCallIsAShardCacheHit) {
+TEST(TypedShards, AttachRefusesShardsWithDivergentEntityState) {
+  fed::Federation federation = small_federation(unlimited_policy());
+  {
+    fed::FederationGateway gateway;
+    EXPECT_NO_THROW(federation.attach(gateway));
+  }
+  // Shard 1 regenerated from another seed: same shape, different entities.
+  synth::GeneratorConfig config = golden_config();
+  config.app_scale = 0.005;
+  config.seed += 1;
+  federation.services[1].reset();
+  federation.stores[1] = synth::generate(synth::anzhi(), config);
+  federation.services[1] = std::make_unique<crawlersim::AppstoreService>(
+      *federation.stores[1].store, unlimited_policy());
+  fed::FederationGateway gateway;
+  EXPECT_THROW(federation.attach(gateway), std::runtime_error);
+  EXPECT_TRUE(gateway.ring().empty());  // nothing registered
+}
+
+TEST(TypedShards, RepeatedTypedCallIsAShardCacheHit) {
   const fed::Federation federation = small_federation(unlimited_policy(), 1);
   crawlersim::AppstoreService& service = *federation.services.front();
   const net::HttpRequest request = get("/api/v1/query?kind=pareto_share");
 
-  const crawlersim::PartialResponse first = service.respond_partial(request);
-  ASSERT_NE(first.partial, nullptr) << first.refusal.body;
+  const crawlersim::PartialResponse first = service.respond_partial(request, service.day());
+  ASSERT_NE(first.value, nullptr) << first.refusal.body;
   const std::uint64_t hits = counter_value(service.metrics(), "service_response_cache_total", "hit");
   const std::uint64_t queries =
       counter_value(service.metrics(), "query_requests_total", "pareto_share");
   EXPECT_EQ(queries, 1u);
 
-  const crawlersim::PartialResponse second = service.respond_partial(request);
-  EXPECT_EQ(second.partial, first.partial);  // the cached fragment itself
+  const crawlersim::PartialResponse second = service.respond_partial(request, service.day());
+  EXPECT_EQ(second.value, first.value);  // the cached fragment itself
   EXPECT_EQ(counter_value(service.metrics(), "service_response_cache_total", "hit"), hits + 1);
   EXPECT_EQ(counter_value(service.metrics(), "query_requests_total", "pareto_share"), queries);
   EXPECT_EQ(counter_value(service.metrics(), "service_requests_total", "query"), 2u);
@@ -1041,23 +1030,35 @@ TEST(TypedPartials, RepeatedTypedCallIsAShardCacheHit) {
   const auto json = service.respond(flagged);
   ASSERT_EQ(json.status, 200);
   expect_same_partial(crawlersim::partial_from_json(*crawlersim::parse_json(json.body)),
-                      *first.partial);
-  EXPECT_EQ(first.partial->day, kEndOfHistory);
+                      *first.value);
+  EXPECT_EQ(first.value->day, kEndOfHistory);
+
+  // A call at another day answers at that day, and is not served the
+  // published day's entry.
+  const auto earlier = service.respond_partial(request, 30);
+  ASSERT_NE(earlier.value, nullptr);
+  EXPECT_EQ(earlier.value->day, 30);
+  EXPECT_NE(earlier.value, first.value);
 
   // Non-query endpoints and malformed queries are refused, never cached.
-  EXPECT_EQ(service.respond_partial(get("/api/v1/meta")).refusal.status, 404);
-  const auto bad = service.respond_partial(get("/api/v1/query?kind=nope"));
-  EXPECT_EQ(bad.partial, nullptr);
+  EXPECT_EQ(service.respond_partial(get("/api/v1/meta"), service.day()).refusal.status, 404);
+  const auto bad = service.respond_partial(get("/api/v1/query?kind=nope"), service.day());
+  EXPECT_EQ(bad.value, nullptr);
   EXPECT_EQ(bad.refusal.status, 400);
+  EXPECT_EQ(service.respond_app(get("/api/v1/meta"), service.day()).refusal.status, 404);
+  EXPECT_EQ(service.respond_app(get("/api/v1/app/999999"), service.day()).refusal.status,
+            404);
+  EXPECT_EQ(service.respond_comments(get("/api/v1/app/1"), service.day(), 200).refusal.status,
+            404);
 }
 
-TEST(TypedPartials, HeldPartialSurvivesCacheClearAtCapacity) {
+TEST(TypedShards, HeldPartialSurvivesCacheClearAtCapacity) {
   const fed::Federation federation = small_federation(unlimited_policy(), 1);
   crawlersim::AppstoreService& service = *federation.services.front();
   const net::HttpRequest request = get("/api/v1/query?kind=rank_download_curve");
 
   const std::shared_ptr<const query::PartialAggregate> held =
-      service.respond_partial(request).partial;
+      service.respond_partial(request, service.day()).value;
   ASSERT_NE(held, nullptr);
   const query::PartialAggregate copy = *held;
   ASSERT_FALSE(copy.counts.empty());
@@ -1069,31 +1070,32 @@ TEST(TypedPartials, HeldPartialSurvivesCacheClearAtCapacity) {
   }
   const std::uint64_t misses =
       counter_value(service.metrics(), "service_response_cache_total", "miss");
-  const auto again = service.respond_partial(request);
+  const auto again = service.respond_partial(request, service.day());
   EXPECT_EQ(counter_value(service.metrics(), "service_response_cache_total", "miss"),
             misses + 1);
-  ASSERT_NE(again.partial, nullptr);
-  EXPECT_NE(again.partial, held);
+  ASSERT_NE(again.value, nullptr);
+  EXPECT_NE(again.value, held);
   expect_same_partial(*held, copy);
-  expect_same_partial(*again.partial, copy);
+  expect_same_partial(*again.value, copy);
 }
 
-TEST(TypedPartials, ConcurrentCallersKeepFragmentsAcrossCacheClears) {
+TEST(TypedShards, ConcurrentCallersKeepFragmentsAcrossCacheClears) {
   // Callers on several threads hold fragments while others sweep the cache
   // past capacity; under the sanitizer presets a fragment freed by a clear
   // while still held, or a racy cache entry, fails this test.
   const fed::Federation federation = small_federation(unlimited_policy(), 1);
   crawlersim::AppstoreService& service = *federation.services.front();
+  const market::Day day = service.day();
   const query::PartialAggregate expected =
-      *service.respond_partial(get("/api/v1/query?kind=top_k_downloads")).partial;
+      *service.respond_partial(get("/api/v1/query?kind=top_k_downloads"), day).value;
   std::atomic<std::size_t> wrong{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 1500; ++i) {
-        const auto held = service.respond_partial(get("/api/v1/query?kind=top_k_downloads"));
+        const auto held = service.respond_partial(get("/api/v1/query?kind=top_k_downloads"), day);
         (void)service.respond(get(util::format("/api/v1/meta?t={}&i={}", t, i)));
-        if (held.partial == nullptr || held.partial->counts != expected.counts) ++wrong;
+        if (held.value == nullptr || held.value->counts != expected.counts) ++wrong;
       }
     });
   }
@@ -1101,7 +1103,7 @@ TEST(TypedPartials, ConcurrentCallersKeepFragmentsAcrossCacheClears) {
   EXPECT_EQ(wrong.load(), 0u);
 }
 
-TEST(TypedPartials, JsonFormRejectsCountsBeyond32Bits) {
+TEST(TypedShards, JsonFormRejectsCountsBeyond32Bits) {
   query::PartialAggregate partial;
   partial.kind = query::AggregateKind::kTopKDownloads;
   partial.day = 42;
@@ -1122,6 +1124,133 @@ TEST(TypedPartials, JsonFormRejectsCountsBeyond32Bits) {
       EXPECT_EQ(error.code(), "bad_partial") << counts;
     }
   }
+}
+
+// ---- one day per request ---------------------------------------------------------
+
+TEST(OneDayPerRequest, PartialsOfTwoDaysAreRefused) {
+  query::QuerySpec spec;
+  spec.kind = query::AggregateKind::kTopKDownloads;
+  query::PartialAggregate a;
+  a.kind = spec.kind;
+  a.app_count = 3;
+  a.counts = {{0, 2}};
+  a.day = 5;
+  query::PartialAggregate b = a;
+  const query::PartialAggregate* same[] = {&a, &b};
+  EXPECT_EQ(query::merge_partials(spec, same).total_downloads, 4u);
+  b.day = 6;
+  try {
+    (void)query::merge_partials(spec, same);
+    ADD_FAILURE() << "partials of days 5 and 6 were merged";
+  } catch (const query::QueryError& error) {
+    EXPECT_EQ(error.code(), "merge_mismatch");
+  }
+
+  // HttpShards answer at their own day: two shards a day apart are a
+  // divergence the gateway refuses, never a mixed answer.
+  const fed::Federation federation = small_federation(unlimited_policy());
+  federation.services[1]->set_day(60);
+  const auto gateway = http_only_gateway(federation);
+  const auto response = gateway->respond(get("/api/v1/query?kind=pareto_share"));
+  EXPECT_EQ(response.status, 502);
+  EXPECT_NE(response.body.find("shard_divergence"), std::string::npos) << response.body;
+}
+
+/// A query document without plan statistics, which are summed across
+/// shards and legitimately differ from a single store (docs/federation.md).
+[[nodiscard]] std::string payload_of(const std::string& body) {
+  const auto document = crawlersim::parse_json(body);
+  if (!document || !document->is_object()) return "unparseable: " + body;
+  crawlersim::JsonObject kept;
+  for (const auto& [key, value] : document->as_object()) {
+    if (key != "plan" && key != "rows_total") kept.emplace_back(key, value);
+  }
+  return crawlersim::Json(std::move(kept)).dump();
+}
+
+TEST(OneDayPerRequest, ScattersRacingSetDayAnswerAtOneDay) {
+  // One thread flips every shard between two days, one shard at a time,
+  // while two callers scatter store-wide queries and app pages. Each answer
+  // must be a single store's answer at one of the two days: the day a
+  // query states, and either day for an app page.
+  fed::Federation federation = small_federation(unlimited_policy(), 4);
+  fed::FederationGateway gateway;
+  federation.attach(gateway);
+
+  synth::GeneratorConfig config = golden_config();
+  config.app_scale = 0.005;
+  const synth::GeneratedStore single = synth::generate(synth::anzhi(), config);
+  const events::FrontierSnapshot downloads = single.store->download_log();
+  market::Day last = 0;
+  for (std::uint64_t i = 0; i < downloads.size(); ++i) last = std::max(last, downloads.day()[i]);
+  const market::Day days[2] = {last / 2, last};
+  crawlersim::AppstoreService at_first(*single.store, unlimited_policy());
+  crawlersim::AppstoreService at_second(*single.store, unlimited_policy());
+  at_first.set_day(days[0]);
+  at_second.set_day(days[1]);
+
+  const std::vector<std::string> queries = {"/api/v1/query?kind=pareto_share",
+                                            "/api/v1/query?kind=top_k_downloads&k=20",
+                                            "/api/v1/query?kind=rank_download_curve&points=50"};
+  std::map<std::pair<std::string, market::Day>, std::string> expected_query;
+  for (const std::string& target : queries) {
+    const std::string first = payload_of(at_first.respond(get(target)).body);
+    const std::string second = payload_of(at_second.respond(get(target)).body);
+    ASSERT_NE(first, second) << target;
+    expected_query[{target, days[0]}] = first;
+    expected_query[{target, days[1]}] = second;
+  }
+  std::vector<std::string> apps;
+  std::vector<std::pair<std::string, std::string>> expected_app;
+  for (std::uint32_t id = 0; id < single.store->apps().size() && apps.size() < 16; ++id) {
+    const std::string target = util::format("/api/v1/app/{}", id);
+    const auto first = at_first.respond(get(target));
+    const auto second = at_second.respond(get(target));
+    if (first.status != 200 || first.body == second.body) continue;
+    apps.push_back(target);
+    expected_app.emplace_back(first.body, second.body);
+  }
+  ASSERT_FALSE(apps.empty()) << "no app whose downloads moved between the days";
+
+  federation.set_day(days[0]);
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> answers{0};
+  std::atomic<std::size_t> wrong{0};
+  std::thread flipper([&] {
+    for (std::size_t flip = 0; !stop.load(); ++flip) federation.set_day(days[flip % 2]);
+  });
+  std::vector<std::thread> callers;
+  for (std::size_t caller = 0; caller < 2; ++caller) {
+    callers.emplace_back([&, caller] {
+      for (std::size_t i = 0; i < 150; ++i) {
+        const std::string& query = queries[(i + caller) % queries.size()];
+        const auto answer = gateway.respond(get(query));
+        const auto document = crawlersim::parse_json(answer.body);
+        const crawlersim::Json* day = document ? document->find("day") : nullptr;
+        const auto it = day == nullptr || !day->is_number()
+                            ? expected_query.end()
+                            : expected_query.find(
+                                  {query, static_cast<market::Day>(day->as_number())});
+        if (answer.status != 200 || it == expected_query.end() ||
+            payload_of(answer.body) != it->second) {
+          ++wrong;
+        }
+        const std::size_t app = (i * 7 + caller) % apps.size();
+        const auto page = gateway.respond(get(apps[app]));
+        if (page.body != expected_app[app].first && page.body != expected_app[app].second) {
+          ++wrong;
+        }
+        answers += 2;
+      }
+    });
+  }
+  for (std::thread& thread : callers) thread.join();
+  stop = true;
+  flipper.join();
+  EXPECT_EQ(answers.load(), 600u);
+  EXPECT_EQ(wrong.load(), 0u);
+  expect_fully_accounted(gateway.stats());
 }
 
 }  // namespace

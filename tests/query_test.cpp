@@ -456,6 +456,34 @@ TEST_F(EngineFixture, MetricsRecordRequestsAndPlanChoices) {
   EXPECT_EQ(snapshot.find_counter("query_requests_total", "pareto_share")->value, 1u);
 }
 
+TEST(QueryFinalize, TopKEqualsTheFullSortUnderTies) {
+  // Many apps share each count, so the app-id tiebreak decides most ranks;
+  // zero-download apps never rank.
+  std::vector<std::uint64_t> counts(997);
+  for (std::size_t app = 0; app < counts.size(); ++app) counts[app] = (app * 7919) % 13;
+  std::vector<query::TopKEntry> reference;
+  for (std::size_t app = 0; app < counts.size(); ++app) {
+    if (counts[app] > 0) reference.push_back({static_cast<std::uint32_t>(app), counts[app]});
+  }
+  std::sort(reference.begin(), reference.end(), [](const auto& a, const auto& b) {
+    return a.downloads != b.downloads ? a.downloads > b.downloads : a.app < b.app;
+  });
+  const std::size_t n = reference.size();
+  for (const std::size_t k : {std::size_t{1}, std::size_t{5}, std::size_t{50}, n, n + 5}) {
+    query::QuerySpec spec;
+    spec.k = k;
+    query::QueryResult result;
+    query::finalize_downloads(spec, counts, result);
+    const std::size_t keep = std::min(k, n);
+    ASSERT_EQ(result.top.size(), keep) << "k=" << k;
+    for (std::size_t rank = 0; rank < keep; ++rank) {
+      EXPECT_EQ(result.top[rank].app, reference[rank].app) << "k=" << k << " rank " << rank;
+      EXPECT_EQ(result.top[rank].downloads, reference[rank].downloads)
+          << "k=" << k << " rank " << rank;
+    }
+  }
+}
+
 // ---- wire forms ------------------------------------------------------------------
 
 TEST(QueryWire, GetAndPostProduceTheSameSpec) {

@@ -15,10 +15,11 @@
 #            exits non-zero if adaptive admission at 2x saturation loses the
 #            queue-delay budget or too much goodput vs the fixed cliff
 #   federation  sharded gateway suite under default, TSan AND ASan presets
-#            (ring properties, hedge determinism, cross-shard golden parity,
-#            typed partials shared out of the shard caches), then
-#            bench_federation: exits non-zero when a fan-out endpoint's p99
-#            breaches 3x the single-shard p99 at the same offered load
+#            (ring properties, outcome accounting, cross-shard golden parity,
+#            typed shard calls, one day per request), then bench_federation:
+#            exits non-zero when a fan-out endpoint's median p99 over the
+#            repeats breaches 3x the single-shard p99 at the same offered
+#            load, or has fewer than 1,000 samples
 #   perfbench  configure + build the repo benchmark (perfbench/, its own CMake
 #            package compiling ../src) exactly as perfbench/run.py does, into
 #            .bench_build/perfbench, and run its self-tests (no timed run):
