@@ -105,7 +105,8 @@ void ThreadPool::for_shards(std::size_t shard_count,
     done_cv_.wait(lock, [&] {
       return job->done.load(std::memory_order_acquire) == job->shard_count;
     });
-    job_ = nullptr;
+    // Another caller may have posted its job since; the slot is its now.
+    if (job_ == job) job_ = nullptr;
     if (job->error) {
       std::exception_ptr error = job->error;
       lock.unlock();

@@ -11,6 +11,11 @@
 // Nested calls are safe: for_shards invoked from inside a pool worker runs
 // all shards inline on that worker (serial), so a parallelized library
 // routine may freely call another one without deadlocking the pool.
+//
+// Concurrent callers share the one job slot: each posts its job over the
+// previous one, idle workers adopt the newest job, and every caller drains
+// its own job to completion. A caller that finishes clears the slot only if
+// it still holds its own job, so a later caller's shards stay adoptable.
 #pragma once
 
 #include <atomic>
@@ -74,7 +79,7 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers: new job or shutdown
   std::condition_variable done_cv_;  ///< caller: job completion
-  std::shared_ptr<Job> job_;         ///< current job (null when idle)
+  std::shared_ptr<Job> job_;         ///< newest posted job (null when idle)
   std::uint64_t generation_ = 0;     ///< bumped per job so workers adopt once
   bool stopping_ = false;
   std::vector<std::thread> workers_;

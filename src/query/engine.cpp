@@ -1,10 +1,12 @@
 #include "query/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "affinity/metric.hpp"
 #include "affinity/strings.hpp"
@@ -68,6 +70,35 @@ void validate(const QuerySpec& spec, const QueryOptions& options) {
 
 [[nodiscard]] std::int32_t row_day(std::span<const std::int32_t> days, std::uint64_t row) {
   return days.empty() ? 0 : days[row];
+}
+
+/// The counts sorted descending by an LSD radix sort over 8-bit digits. One
+/// pass builds every digit's histogram; a digit on which all counts agree
+/// moves nothing and is skipped, so download counts take two or three passes.
+[[nodiscard]] std::vector<std::uint64_t> sorted_descending(
+    std::span<const std::uint64_t> counts) {
+  constexpr std::size_t kDigits = sizeof(std::uint64_t);
+  std::array<std::array<std::size_t, 256>, kDigits> histograms{};
+  for (const std::uint64_t count : counts) {
+    for (std::size_t d = 0; d < kDigits; ++d) ++histograms[d][(count >> (8 * d)) & 0xff];
+  }
+  std::vector<std::uint64_t> sorted(counts.begin(), counts.end());
+  std::vector<std::uint64_t> scratch(counts.size());
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    std::array<std::size_t, 256>& offsets = histograms[d];
+    if (std::find(offsets.begin(), offsets.end(), counts.size()) != offsets.end()) continue;
+    // Buckets laid out from the highest digit down; each pass is stable, so
+    // the order after the last pass is descending over all digits.
+    std::size_t offset = 0;
+    for (std::size_t bucket = offsets.size(); bucket-- > 0;) {
+      offset += std::exchange(offsets[bucket], offset);
+    }
+    for (const std::uint64_t count : sorted) {
+      scratch[offsets[(count >> (8 * d)) & 0xff]++] = count;
+    }
+    sorted.swap(scratch);
+  }
+  return sorted;
 }
 
 }  // namespace
@@ -321,16 +352,19 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
       break;
     }
     case AggregateKind::kParetoShare: {
-      const std::vector<double> as_double(counts.begin(), counts.end());
-      const std::vector<double> shares = stats::top_shares(as_double, spec.fractions);
+      // u64 -> double is monotone, so the converted descending counts are
+      // the descending doubles stats::top_shares would sort, and the prefix
+      // sums add in the same order: the shares are bit-identical.
+      const std::vector<std::uint64_t> sorted = sorted_descending(counts);
+      const std::vector<double> as_double(sorted.begin(), sorted.end());
+      const std::vector<double> shares = stats::top_shares_sorted(as_double, spec.fractions);
       for (std::size_t i = 0; i < shares.size(); ++i) {
         result.pareto.push_back({spec.fractions[i], shares[i]});
       }
       break;
     }
     case AggregateKind::kRankDownloadCurve: {
-      std::vector<std::uint64_t> sorted(counts.begin(), counts.end());
-      std::sort(sorted.begin(), sorted.end(), std::greater<>());
+      const std::vector<std::uint64_t> sorted = sorted_descending(counts);
       const std::size_t n = sorted.size();
       if (n == 0) break;
       const std::size_t step = std::max<std::size_t>(1, n / spec.points);

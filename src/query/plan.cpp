@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "par/parallel.hpp"
 #include "util/format.hpp"
@@ -10,62 +12,109 @@ namespace appstore::query {
 
 namespace {
 
-[[nodiscard]] bool compare(CompareOp op, double lhs, double rhs) noexcept {
-  switch (op) {
-    case CompareOp::kEq: return lhs == rhs;
-    case CompareOp::kNe: return lhs != rhs;
-    case CompareOp::kLt: return lhs < rhs;
-    case CompareOp::kLe: return lhs <= rhs;
-    case CompareOp::kGt: return lhs > rhs;
-    case CompareOp::kGe: return lhs >= rhs;
+/// Stores every row id at the output cursor and advances the cursor only on
+/// a match, so the loop carries no per-row branch. `out` may alias the rows
+/// `row_at` reads: the cursor never passes the read position.
+template <typename RowAt, typename ValueAt, typename Op>
+[[nodiscard]] std::size_t keep_matches(std::size_t count, RowAt row_at, ValueAt value_at,
+                                       Op op, double number, std::uint32_t* out) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t row = row_at(i);
+    out[kept] = row;
+    kept += op(value_at(row), number) ? 1 : 0;
   }
-  return false;
+  return kept;
 }
 
-/// Row-wise evaluator for one comparison clause against the bound columns.
-/// App-joined fields (category, price) read the metadata spans through the
-/// row's app id; a disabled day column reads as 0 (the Event default).
-class ClauseEval {
- public:
-  ClauseEval(const Comparison& clause, const BoundLog& bound)
-      : clause_(clause),
-        user_(bound.log.user()),
-        app_(bound.log.app()),
-        day_(bound.log.day()),
-        app_category_(bound.app_category),
-        app_price_(bound.app_price) {}
+template <typename RowAt, typename ValueAt>
+[[nodiscard]] std::size_t keep_matches(CompareOp op, std::size_t count, RowAt row_at,
+                                       ValueAt value_at, double number, std::uint32_t* out) {
+  switch (op) {
+    case CompareOp::kEq:
+      return keep_matches(count, row_at, value_at, std::equal_to<double>{}, number, out);
+    case CompareOp::kNe:
+      return keep_matches(count, row_at, value_at, std::not_equal_to<double>{}, number, out);
+    case CompareOp::kLt:
+      return keep_matches(count, row_at, value_at, std::less<double>{}, number, out);
+    case CompareOp::kLe:
+      return keep_matches(count, row_at, value_at, std::less_equal<double>{}, number, out);
+    case CompareOp::kGt:
+      return keep_matches(count, row_at, value_at, std::greater<double>{}, number, out);
+    case CompareOp::kGe:
+      return keep_matches(count, row_at, value_at, std::greater_equal<double>{}, number, out);
+  }
+  return 0;
+}
 
-  [[nodiscard]] bool matches(std::uint64_t row) const noexcept {
-    double value = 0.0;
-    switch (clause_.field) {
-      case Field::kDay:
-        value = day_.empty() ? 0.0 : static_cast<double>(day_[row]);
-        break;
-      case Field::kUser:
-        value = static_cast<double>(user_[row]);
-        break;
-      case Field::kApp:
-        value = static_cast<double>(app_[row]);
-        break;
-      case Field::kCategory:
-        value = static_cast<double>(app_category_[app_[row]]);
-        break;
-      case Field::kPrice:
-        value = app_price_[app_[row]];
-        break;
-      case Field::kStore:
-        return false;  // folded at plan time; unreachable
-    }
-    return compare(clause_.op, value, clause_.number);
+/// One comparison clause compiled against the bound columns. Each call
+/// dispatches on (field, operator) once, then one tight loop evaluates
+/// `static_cast<double>(value) <op> clause.number` for every row it is
+/// given. App-joined fields (category, price) read the metadata spans
+/// through the row's app id; a disabled day column reads as 0 (the Event
+/// default); store clauses are folded at plan time and select nothing here.
+class CompiledClause {
+ public:
+  CompiledClause(const Comparison& clause, const BoundLog& bound)
+      : clause_(clause),
+        user_(bound.log.user().data()),
+        app_(bound.log.app().data()),
+        day_(bound.log.day().data()),
+        app_category_(bound.app_category.data()),
+        app_price_(bound.app_price.data()) {}
+
+  /// Writes the matching rows of [begin, end), ascending, to `out` (room for
+  /// end - begin ids); returns how many matched.
+  [[nodiscard]] std::size_t select_range(std::uint64_t begin, std::uint64_t end,
+                                         std::uint32_t* out) const {
+    return select(
+        static_cast<std::size_t>(end - begin),
+        [begin](std::size_t i) { return static_cast<std::uint32_t>(begin + i); }, out);
+  }
+
+  /// Keeps the matching ids of `rows`, in order, at the front of `out`
+  /// (which may be rows.data()); returns how many matched.
+  [[nodiscard]] std::size_t select_rows(std::span<const std::uint32_t> rows,
+                                        std::uint32_t* out) const {
+    const std::uint32_t* ids = rows.data();
+    return select(rows.size(), [ids](std::size_t i) { return ids[i]; }, out);
   }
 
  private:
+  template <typename RowAt>
+  [[nodiscard]] std::size_t select(std::size_t count, RowAt row_at, std::uint32_t* out) const {
+    const auto run = [&](auto value_at) {
+      return keep_matches(clause_.op, count, row_at, value_at, clause_.number, out);
+    };
+    switch (clause_.field) {
+      case Field::kDay:
+        if (day_ == nullptr) return run([](std::uint32_t) { return 0.0; });
+        return run([day = day_](std::uint32_t row) { return static_cast<double>(day[row]); });
+      case Field::kUser:
+        return run(
+            [user = user_](std::uint32_t row) { return static_cast<double>(user[row]); });
+      case Field::kApp:
+        return run([app = app_](std::uint32_t row) { return static_cast<double>(app[row]); });
+      case Field::kCategory:
+        return run([app = app_, category = app_category_](std::uint32_t row) {
+          return static_cast<double>(category[app[row]]);
+        });
+      case Field::kPrice:
+        return run([app = app_, price = app_price_](std::uint32_t row) {
+          return price[app[row]];
+        });
+      case Field::kStore:
+        return 0;  // folded at plan time; unreachable
+    }
+    return 0;
+  }
+
   Comparison clause_;
-  std::span<const std::uint32_t> user_;
-  std::span<const std::uint32_t> app_;
-  std::span<const std::int32_t> day_;
-  std::span<const std::uint32_t> app_category_;
-  std::span<const double> app_price_;
+  const std::uint32_t* user_;
+  const std::uint32_t* app_;
+  const std::int32_t* day_;  ///< null when the day column is disabled
+  const std::uint32_t* app_category_;
+  const double* app_price_;
 };
 
 [[nodiscard]] PlanNode constant(bool all) {
@@ -174,19 +223,24 @@ struct UserRange {
   if (is_and) {
     // Residual rewrite: once one child materializes a candidate set, further
     // column scans only need to test those candidates, not the whole log.
-    // Keep the first column scan (or any index scan / sub-tree) as a source
-    // and demote the remaining column-scan leaves to residual filters.
+    // Any index scan or sub-tree is the source; failing that, the first
+    // equality column scan (it selects a single value, so it tends to
+    // materialize the fewest rows), else the first column scan. Every other
+    // column-scan leaf is demoted to a residual filter.
     const bool has_cheap_source = std::any_of(
         node.children.begin(), node.children.end(),
         [](const PlanNode& child) { return child.kind != NodeKind::kColumnScan; });
-    bool source_seen = has_cheap_source;
+    const PlanNode* source = nullptr;
+    if (!has_cheap_source) {
+      const auto equality = std::find_if(
+          node.children.begin(), node.children.end(),
+          [](const PlanNode& child) { return child.clause.op == CompareOp::kEq; });
+      source = equality != node.children.end() ? &*equality : &node.children.front();
+    }
     for (PlanNode& child : node.children) {
-      if (child.kind != NodeKind::kColumnScan) continue;
-      if (!source_seen) {
-        source_seen = true;  // first column scan feeds the candidate set
-        continue;
+      if (child.kind == NodeKind::kColumnScan && &child != source) {
+        child.kind = NodeKind::kResidual;
       }
-      child.kind = NodeKind::kResidual;
     }
   }
   return node;
@@ -219,7 +273,7 @@ void count_scans(const PlanNode& node, Plan& plan) {
   RowSet result;
   const std::uint64_t rows = bound.log.size();
   if (rows == 0) return result;
-  const ClauseEval eval(node.clause, bound);
+  const CompiledClause clause(node.clause, bound);
   const std::uint64_t block = std::max<std::uint64_t>(1, options.scan_block);
   const std::uint64_t blocks = (rows + block - 1) / block;
   par::Options par_options;
@@ -230,13 +284,13 @@ void count_scans(const PlanNode& node, Plan& plan) {
   result.rows = par::parallel_reduce<std::vector<std::uint32_t>>(
       blocks, {}, par_options,
       [&](std::uint64_t b) {
-        std::vector<std::uint32_t> matched;
         const std::uint64_t begin = b * block;
         const std::uint64_t end = std::min(rows, begin + block);
-        for (std::uint64_t i = begin; i < end; ++i) {
-          if (eval.matches(i)) matched.push_back(static_cast<std::uint32_t>(i));
-        }
-        return matched;
+        // Left uninitialized: zeroing a block-sized buffer costs about as
+        // much as scanning a selective clause over it.
+        const auto scratch = std::make_unique_for_overwrite<std::uint32_t[]>(end - begin);
+        const std::size_t kept = clause.select_range(begin, end, scratch.get());
+        return std::vector<std::uint32_t>(scratch.get(), scratch.get() + kept);
       },
       [](std::vector<std::uint32_t> acc, std::vector<std::uint32_t> part) {
         if (acc.empty()) return part;
@@ -268,13 +322,8 @@ void count_scans(const PlanNode& node, Plan& plan) {
   }
   for (const PlanNode& child : node.children) {
     if (child.kind != NodeKind::kResidual) continue;
-    const ClauseEval eval(child.clause, bound);
-    std::vector<std::uint32_t> kept;
-    kept.reserve(current.rows.size());
-    for (const std::uint32_t row : current.rows) {
-      if (eval.matches(row)) kept.push_back(row);
-    }
-    current.rows = std::move(kept);
+    const CompiledClause clause(child.clause, bound);
+    current.rows.resize(clause.select_rows(current.rows, current.rows.data()));
     if (current.rows.empty()) break;
   }
   return current;

@@ -8,12 +8,15 @@
 //                only the CSR per-user slices of the log's index: O(rows of
 //                the selected users) instead of O(all rows);
 //   kColumnScan  every other clause scans its column(s) in fixed-size row
-//                blocks through par::parallel_reduce (block results are
-//                concatenated in ascending block order, so the selected row
-//                set is bit-identical at every thread count);
-//   kResidual    inside an `and`, every column scan after the first source
-//                is demoted to a residual filter that only tests the rows
-//                the earlier children already selected;
+//                blocks through par::parallel_reduce; each block runs one
+//                loop of the clause compiled for its (field, operator), and
+//                block results are concatenated in ascending block order, so
+//                the selected row set is bit-identical at every thread count;
+//   kResidual    inside an `and`, every column scan but one source is
+//                demoted to a residual filter that only tests the rows the
+//                other children already selected (the source is an index
+//                scan or sub-tree if there is one, else the first equality
+//                column scan, else the first column scan);
 //   kAll/kNone   clauses that are constant for this store (store == name,
 //                tautological ranges) fold away at plan time.
 //

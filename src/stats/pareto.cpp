@@ -7,40 +7,44 @@ namespace appstore::stats {
 
 namespace {
 
-/// Descending-sorted copy with its prefix sums; shared by all three queries.
+/// Prefix sums of values sorted descending; shared by share_curve and the
+/// top shares.
 struct Prefix {
-  std::vector<double> sorted;
   std::vector<double> cumulative;  // cumulative[i] = sum of top i+1 values
   double total = 0.0;
 };
 
-Prefix build_prefix(std::span<const double> counts) {
+Prefix build_prefix(std::span<const double> descending) {
   Prefix p;
-  p.sorted.assign(counts.begin(), counts.end());
-  std::sort(p.sorted.begin(), p.sorted.end(), std::greater<>());
-  p.cumulative.resize(p.sorted.size());
+  p.cumulative.resize(descending.size());
   double run = 0.0;
-  for (std::size_t i = 0; i < p.sorted.size(); ++i) {
-    run += p.sorted[i];
+  for (std::size_t i = 0; i < descending.size(); ++i) {
+    run += descending[i];
     p.cumulative[i] = run;
   }
   p.total = run;
   return p;
 }
 
+std::vector<double> sorted_descending(std::span<const double> counts) {
+  std::vector<double> sorted(counts.begin(), counts.end());
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  return sorted;
+}
+
 }  // namespace
 
 std::vector<ShareCurvePoint> share_curve(std::span<const double> counts,
                                          std::span<const double> rank_percents) {
-  const Prefix p = build_prefix(counts);
+  const Prefix p = build_prefix(sorted_descending(counts));
   std::vector<ShareCurvePoint> curve;
   curve.reserve(rank_percents.size());
   for (const double percent : rank_percents) {
     ShareCurvePoint point{percent, 0.0};
-    if (!p.sorted.empty() && p.total > 0.0 && percent > 0.0) {
+    if (!p.cumulative.empty() && p.total > 0.0 && percent > 0.0) {
       auto k = static_cast<std::size_t>(
-          std::ceil(percent / 100.0 * static_cast<double>(p.sorted.size())));
-      k = std::clamp<std::size_t>(k, 1, p.sorted.size());
+          std::ceil(percent / 100.0 * static_cast<double>(p.cumulative.size())));
+      k = std::clamp<std::size_t>(k, 1, p.cumulative.size());
       point.download_percent = 100.0 * p.cumulative[k - 1] / p.total;
     }
     curve.push_back(point);
@@ -54,17 +58,22 @@ double top_share(std::span<const double> counts, double top_fraction) {
 
 std::vector<double> top_shares(std::span<const double> counts,
                                std::span<const double> top_fractions) {
-  const Prefix p = build_prefix(counts);
+  return top_shares_sorted(sorted_descending(counts), top_fractions);
+}
+
+std::vector<double> top_shares_sorted(std::span<const double> descending,
+                                      std::span<const double> top_fractions) {
+  const Prefix p = build_prefix(descending);
   std::vector<double> shares;
   shares.reserve(top_fractions.size());
   for (const double fraction : top_fractions) {
-    if (p.sorted.empty() || p.total <= 0.0 || fraction <= 0.0) {
+    if (p.cumulative.empty() || p.total <= 0.0 || fraction <= 0.0) {
       shares.push_back(0.0);
       continue;
     }
     auto k = static_cast<std::size_t>(
-        std::ceil(fraction * static_cast<double>(p.sorted.size())));
-    k = std::clamp<std::size_t>(k, 1, p.sorted.size());
+        std::ceil(fraction * static_cast<double>(p.cumulative.size())));
+    k = std::clamp<std::size_t>(k, 1, p.cumulative.size());
     shares.push_back(p.cumulative[k - 1] / p.total);
   }
   return shares;

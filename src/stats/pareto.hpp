@@ -29,6 +29,11 @@ struct ShareCurvePoint {
 [[nodiscard]] std::vector<double> top_shares(std::span<const double> counts,
                                              std::span<const double> top_fractions);
 
+/// top_shares over values already sorted descending (top_shares sorts a copy
+/// and delegates here), for callers that keep the sorted order.
+[[nodiscard]] std::vector<double> top_shares_sorted(std::span<const double> descending,
+                                                    std::span<const double> top_fractions);
+
 /// Lorenz curve: (population fraction, cumulative share) sorted ascending —
 /// the standard inequality representation, complementary to share_curve.
 struct LorenzPoint {

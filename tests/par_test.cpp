@@ -7,8 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cache/sim.hpp"
@@ -182,6 +184,46 @@ TEST(ThreadPool, InjectedPoolIsUsed) {
   par::parallel_for(100, par::Options{.pool = &pool},
                     [&](std::uint64_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, FinishingCallerLeavesALaterCallersJobPosted) {
+  // Caller A's shards hold their threads on gate A while caller B posts 100
+  // shards held on gate B. When A returns, B's job must still be posted, so
+  // idle workers can adopt it and queued_shards() reports its backlog; a
+  // finishing caller that cleared the slot unconditionally left B's shards
+  // to B alone and the gauge read 0.
+  par::ThreadPool pool(4);
+  std::promise<void> open_a;
+  const std::shared_future<void> gate_a(open_a.get_future());
+  std::promise<void> open_b;
+  const std::shared_future<void> gate_b(open_b.get_future());
+  std::atomic<int> a_started{0};
+  std::atomic<int> b_started{0};
+
+  std::thread caller_a([&] {
+    pool.for_shards(4, [&](std::size_t) {
+      a_started.fetch_add(1);
+      gate_a.wait();
+    });
+  });
+  while (a_started.load() == 0) std::this_thread::yield();
+  std::thread caller_b([&] {
+    pool.for_shards(100, [&](std::size_t) {
+      b_started.fetch_add(1);
+      gate_b.wait();
+    });
+  });
+  while (b_started.load() == 0) std::this_thread::yield();  // B's job is posted
+
+  open_a.set_value();
+  caller_a.join();
+  // Every participant holds at most one of B's shards.
+  EXPECT_GT(pool.queued_shards(), 0u);
+
+  open_b.set_value();
+  caller_b.join();
+  EXPECT_EQ(b_started.load(), 100);
+  EXPECT_EQ(pool.queued_shards(), 0u);
 }
 
 // ---- seed derivation -------------------------------------------------------

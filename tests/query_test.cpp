@@ -6,12 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <numeric>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
+#include "events/live_log.hpp"
 #include "load/workload.hpp"
 #include "market/store.hpp"
 #include "net/http.hpp"
@@ -278,6 +286,210 @@ TEST_F(PlannerFixture, AppJoinedFieldsScanColumns) {
   EXPECT_TRUE(execute_both_ways("category == 9").empty());
 }
 
+// ---- scan kernels against a brute-force evaluator --------------------------------
+
+/// Seeded events over small id spaces, bound to per-app metadata the test
+/// owns, so every filter's selection can be recomputed row by row without
+/// the planner. One log carries days; the other has the day column disabled.
+class KernelDifferential : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kUsers = 97;
+  static constexpr std::uint32_t kApps = 41;
+  static constexpr std::uint32_t kCategories = 7;
+  static constexpr std::int32_t kDays = 30;
+  static constexpr std::uint64_t kRows = 17'000;  // two 16,384-row blocks
+  static constexpr std::string_view kStoreName = "Diff";
+
+  void SetUp() override {
+    std::mt19937_64 rng(4242);
+    constexpr double kPrices[] = {0.0, 0.99, 1.0, 1.99, 2.49, 4.99};
+    for (std::uint32_t app = 0; app < kApps; ++app) {
+      app_category_.push_back(static_cast<std::uint32_t>(rng() % kCategories));
+      app_price_.push_back(kPrices[rng() % std::size(kPrices)]);
+    }
+    events::LiveOptions options;
+    options.max_rows = 1u << 15;
+    options.segment_rows = 1u << 12;
+    options.max_users = kUsers;
+    with_days_ = std::make_unique<events::LiveEventLog>(events::Columns::kDay, options);
+    without_days_ = std::make_unique<events::LiveEventLog>(events::Columns::kNone, options);
+    for (std::uint64_t row = 0; row < kRows; ++row) {
+      const auto user = static_cast<std::uint32_t>(rng() % kUsers);
+      const auto app = static_cast<std::uint32_t>(rng() % kApps);
+      (void)with_days_->append(user, app, static_cast<std::int32_t>(rng() % kDays));
+      (void)without_days_->append(user, app);
+    }
+  }
+
+  [[nodiscard]] query::BoundLog bind(const events::FrontierSnapshot& snapshot) const {
+    query::BoundLog bound;
+    bound.log = snapshot;
+    bound.app_category = app_category_;
+    bound.app_price = app_price_;
+    bound.store_name = kStoreName;
+    bound.user_count = kUsers;
+    bound.category_count = kCategories;
+    return bound;
+  }
+
+  /// One comparison; ids and days reach past both ends of their ranges.
+  [[nodiscard]] static std::string random_leaf(std::mt19937_64& rng) {
+    constexpr std::string_view kOps[] = {"==", "!=", "<", "<=", ">", ">="};
+    const std::string_view op = kOps[rng() % std::size(kOps)];
+    const std::string_view equality = kOps[rng() % 2];
+    switch (rng() % 6) {
+      case 0:
+        return util::format("day {} {}", op, static_cast<int>(rng() % (kDays + 10)) - 5);
+      case 1: return util::format("user {} {}", op, rng() % (kUsers + 8));
+      case 2: return util::format("app {} {}", op, rng() % (kApps + 4));
+      case 3:
+        return util::format("price {} {:.2f}", op,
+                            static_cast<double>(rng() % 600) / 100.0 - 0.5);
+      case 4: return util::format("category {} {}", equality, rng() % (kCategories + 3));
+      default:
+        return util::format("store {} '{}'", equality, rng() % 2 == 0 ? kStoreName : "Other");
+    }
+  }
+
+  /// A leaf, or an `and`/`or` of two or three filters nested up to `depth`.
+  [[nodiscard]] static std::string random_filter(std::mt19937_64& rng, int depth) {
+    if (depth == 0 || rng() % 3 == 0) return random_leaf(rng);
+    const std::string_view connective = rng() % 2 == 0 ? " and " : " or ";
+    const std::size_t children = 2 + rng() % 2;
+    std::string text = "(";
+    for (std::size_t i = 0; i < children; ++i) {
+      if (i > 0) text += connective;
+      text += random_filter(rng, depth - 1);
+    }
+    return text + ")";
+  }
+
+  [[nodiscard]] bool reference_match(const query::Expr& expr,
+                                     const events::FrontierSnapshot& log,
+                                     std::uint64_t row) const {
+    const auto child_matches = [&](const query::Expr& child) {
+      return reference_match(child, log, row);
+    };
+    switch (expr.kind) {
+      case query::Expr::Kind::kAnd:
+        return std::all_of(expr.children.begin(), expr.children.end(), child_matches);
+      case query::Expr::Kind::kOr:
+        return std::any_of(expr.children.begin(), expr.children.end(), child_matches);
+      case query::Expr::Kind::kComparison:
+        break;
+    }
+    const query::Comparison& clause = expr.comparison;
+    const std::uint32_t app = log.app()[row];
+    double value = 0.0;
+    switch (clause.field) {
+      case query::Field::kStore:
+        return (clause.text == kStoreName) == (clause.op == query::CompareOp::kEq);
+      case query::Field::kDay: value = log.day().empty() ? 0.0 : log.day()[row]; break;
+      case query::Field::kUser: value = log.user()[row]; break;
+      case query::Field::kApp: value = app; break;
+      case query::Field::kCategory: value = app_category_[app]; break;
+      case query::Field::kPrice: value = app_price_[app]; break;
+    }
+    switch (clause.op) {
+      case query::CompareOp::kEq: return value == clause.number;
+      case query::CompareOp::kNe: return value != clause.number;
+      case query::CompareOp::kLt: return value < clause.number;
+      case query::CompareOp::kLe: return value <= clause.number;
+      case query::CompareOp::kGt: return value > clause.number;
+      case query::CompareOp::kGe: return value >= clause.number;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::vector<std::uint32_t> reference_rows(
+      const query::Expr& expr, const events::FrontierSnapshot& log) const {
+    std::vector<std::uint32_t> rows;
+    for (std::uint64_t row = 0; row < log.size(); ++row) {
+      if (reference_match(expr, log, row)) rows.push_back(static_cast<std::uint32_t>(row));
+    }
+    return rows;
+  }
+
+  [[nodiscard]] static std::vector<std::uint32_t> materialize(const query::RowSet& set,
+                                                              std::uint64_t total) {
+    if (!set.all) return set.rows;
+    std::vector<std::uint32_t> rows(total);
+    std::iota(rows.begin(), rows.end(), 0u);
+    return rows;
+  }
+
+  [[nodiscard]] static std::vector<std::string> random_filters(std::uint64_t seed,
+                                                              int count) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::string> filters;
+    for (int i = 0; i < count; ++i) filters.push_back(random_filter(rng, 3));
+    return filters;
+  }
+
+  /// Checks execute() against the reference for every filter at threads 1
+  /// and 4 and scan blocks 1, 7 and 16,384. Returns how many filters select
+  /// neither nothing nor everything.
+  int expect_kernels_match_reference(const events::FrontierSnapshot& snapshot,
+                                     const std::vector<std::string>& filters) const {
+    const query::BoundLog log = bind(snapshot);
+    int proper_subsets = 0;
+    for (const std::string& text : filters) {
+      const query::Expr expr = query::parse_filter(text);
+      const std::vector<std::uint32_t> expected = reference_rows(expr, snapshot);
+      if (!expected.empty() && expected.size() < snapshot.size()) ++proper_subsets;
+      for (const std::size_t threads : {1u, 4u}) {
+        for (const std::uint64_t block : {1u, 7u, 16'384u}) {
+          query::PlanOptions options;
+          options.threads = threads;
+          options.scan_block = block;
+          const query::RowSet got =
+              query::execute(query::plan_filter(expr, log, options), log, options);
+          EXPECT_EQ(materialize(got, snapshot.size()), expected)
+              << text << " at threads " << threads << ", block " << block;
+        }
+      }
+    }
+    return proper_subsets;
+  }
+
+  std::vector<std::uint32_t> app_category_;
+  std::vector<double> app_price_;
+  std::unique_ptr<events::LiveEventLog> with_days_;
+  std::unique_ptr<events::LiveEventLog> without_days_;
+};
+
+TEST_F(KernelDifferential, ExecuteMatchesBruteForceWithDays) {
+  const std::vector<std::string> filters = random_filters(7, 96);
+  // Enough draws select neither nothing nor everything.
+  EXPECT_GT(expect_kernels_match_reference(with_days_->snapshot(), filters), 96 / 4);
+}
+
+TEST_F(KernelDifferential, ExecuteMatchesBruteForceWithoutDays) {
+  const std::vector<std::string> filters = random_filters(8, 48);
+  EXPECT_GT(expect_kernels_match_reference(without_days_->snapshot(), filters), 48 / 4);
+  // A disabled day column reads 0 on every row.
+  (void)expect_kernels_match_reference(
+      without_days_->snapshot(),
+      {"day == 0", "day != 0", "day <= 0", "day > 0", "day >= 1", "day < 1",
+       "day <= -1 or app == 3", "day == 0 and app == 3"});
+}
+
+TEST_F(KernelDifferential, EqualityClauseIsTheAndSource) {
+  // The equality leaf materializes the candidates; the range is tested only
+  // against them.
+  const events::FrontierSnapshot snapshot = with_days_->snapshot();
+  const query::BoundLog log = bind(snapshot);
+  const query::Expr expr = query::parse_filter("day <= 21 and category == 3");
+  const query::Plan plan = query::plan_filter(expr, log, {});
+  ASSERT_EQ(plan.root.kind, query::NodeKind::kAnd);
+  ASSERT_EQ(plan.root.children.size(), 2u);
+  EXPECT_EQ(plan.root.children[0].kind, query::NodeKind::kResidual);    // day
+  EXPECT_EQ(plan.root.children[1].kind, query::NodeKind::kColumnScan);  // category
+  EXPECT_EQ(plan.column_scans, 1u);
+  EXPECT_EQ(plan.residual_filters, 1u);
+  EXPECT_EQ(query::execute(plan, log, {}).rows, reference_rows(expr, snapshot));
+}
+
 // ---- engine over a synthetic store -----------------------------------------------
 
 class EngineFixture : public ::testing::Test {
@@ -480,6 +692,70 @@ TEST(QueryFinalize, TopKEqualsTheFullSortUnderTies) {
       EXPECT_EQ(result.top[rank].app, reference[rank].app) << "k=" << k << " rank " << rank;
       EXPECT_EQ(result.top[rank].downloads, reference[rank].downloads)
           << "k=" << k << " rank " << rank;
+    }
+  }
+}
+
+TEST(QueryFinalize, ParetoAndRankCurveMatchAStdSortReference) {
+  // finalize_downloads radix-sorts the integer counts once; pareto shares
+  // and rank curves must equal the double sort inside stats::top_shares and
+  // a std::sort of the counts, bit for bit.
+  std::mt19937_64 rng(2113);
+  std::vector<std::vector<std::uint64_t>> cases;
+  cases.emplace_back();
+  cases.emplace_back(600, 0);  // all zeros
+  for (int repeat = 0; repeat < 40; ++repeat) {
+    const std::size_t n = 1 + rng() % 6'020;
+    std::vector<std::uint64_t> ties(n);
+    for (std::uint64_t& count : ties) count = rng() % 4;  // heavy ties
+    cases.push_back(std::move(ties));
+    std::vector<std::uint64_t> zipf(n);
+    for (std::size_t rank = 0; rank < n; ++rank) {
+      zipf[rank] = static_cast<std::uint64_t>(
+          1e6 / std::pow(static_cast<double>(rank + 1), 0.6 + 0.05 * repeat));
+    }
+    std::shuffle(zipf.begin(), zipf.end(), rng);
+    cases.push_back(std::move(zipf));
+    std::vector<std::uint64_t> near_2_53(1 + n / 8);  // doubles tie above 2^53
+    for (std::uint64_t& count : near_2_53) count = (std::uint64_t{1} << 53) - 64 + rng() % 128;
+    cases.push_back(std::move(near_2_53));
+    std::vector<std::uint64_t> wide(1 + n / 8);  // every byte of the count
+    for (std::uint64_t& count : wide) count = rng() >> (rng() % 64);
+    cases.push_back(std::move(wide));
+  }
+
+  query::QuerySpec pareto;
+  pareto.kind = query::AggregateKind::kParetoShare;
+  pareto.fractions = {0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0};
+  query::QuerySpec curve;
+  curve.kind = query::AggregateKind::kRankDownloadCurve;
+  curve.points = 97;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<std::uint64_t>& counts = cases[c];
+    query::QueryResult shares;
+    query::finalize_downloads(pareto, counts, shares);
+    const std::vector<double> as_double(counts.begin(), counts.end());
+    const std::vector<double> expected = stats::top_shares(as_double, pareto.fractions);
+    ASSERT_EQ(shares.pareto.size(), expected.size()) << "case " << c;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shares.pareto[i].share),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << "case " << c << " fraction " << pareto.fractions[i];
+    }
+
+    query::QueryResult ranked;
+    query::finalize_downloads(curve, counts, ranked);
+    std::vector<std::uint64_t> sorted = counts;
+    std::sort(sorted.begin(), sorted.end(), std::greater<>());
+    if (sorted.empty()) {
+      EXPECT_TRUE(ranked.curve.empty());
+      continue;
+    }
+    ASSERT_FALSE(ranked.curve.empty()) << "case " << c;
+    EXPECT_EQ(ranked.curve.front().rank, 1u) << "case " << c;
+    EXPECT_EQ(ranked.curve.back().rank, sorted.size()) << "case " << c;
+    for (const query::CurvePoint& point : ranked.curve) {
+      EXPECT_EQ(point.downloads, sorted[point.rank - 1]) << "case " << c << " rank " << point.rank;
     }
   }
 }

@@ -6,7 +6,9 @@
 #   tsan     ThreadSanitizer preset (parallel engine, server pool, live store)
 #   chaos    corruption-fuzz labels under ASan
 #   load     worker-pool server + load-harness labels (default build)
-#   query    query-engine label (default build)
+#   query    query-engine label (default build), then bench_query: exits
+#            non-zero when planned (index-scan) execution is not at least 2x
+#            faster than full column scans on top_k_downloads
 #   recovery durability suite (WAL, checkpoints, crash fuzz) under ASan,
 #            then bench_recovery with its replay-throughput floors
 #   ingest   bench_ingest: live vs stop-the-world, exits non-zero below the
@@ -75,10 +77,11 @@ if want load; then
 fi
 
 if want query; then
-  banner "query: query engine label"
+  banner "query: query engine label, then bench_query (floor 2x)"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS"
   ctest --test-dir build -L query --output-on-failure
+  ./build/bench/bench_query --metrics-out=results/BENCH_query_metrics.json
 fi
 
 if want recovery; then
