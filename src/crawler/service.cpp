@@ -545,10 +545,10 @@ net::HttpResponse AppstoreService::handle_apps(const net::HttpRequest& request,
   // far; new releases append).
   JsonArray ids;
   std::uint64_t visible = 0;
-  const std::uint64_t first = page * per_page;
+  const std::uint64_t first = page_start(page, per_page);
   for (const auto& app : store_.apps()) {
     if (app.released > day) continue;
-    if (visible >= first && visible < first + per_page) {
+    if (visible >= first && visible - first < per_page) {
       ids.push_back(Json(static_cast<std::uint64_t>(app.id.value)));
     }
     ++visible;
@@ -632,7 +632,8 @@ net::HttpResponse AppstoreService::handle_comments(std::uint32_t id, market::Day
       return error_response(400, "bad_request", "bad page");
     }
   }
-  const CommentsPage comments = comments_at(id, day, page * kCommentsPerPage, kCommentsPerPage);
+  const CommentsPage comments =
+      comments_at(id, day, page_start(page, kCommentsPerPage), kCommentsPerPage);
   return net::HttpResponse::json(200,
                                  comments_body(id, comments.total, page, comments.rows));
 }

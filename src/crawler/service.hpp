@@ -58,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -118,6 +119,15 @@ struct ServicePolicy {
 
 /// Rows per /api/v1/app/<id>/comments page.
 inline constexpr std::uint64_t kCommentsPerPage = 200;
+
+/// The index of page `page`'s first row, saturating instead of wrapping: a
+/// page number too large for the product starts past every end, so it is
+/// the empty page.
+[[nodiscard]] constexpr std::uint64_t page_start(std::uint64_t page,
+                                                 std::uint64_t per_page) noexcept {
+  constexpr std::uint64_t kPastEnd = std::numeric_limits<std::uint64_t>::max();
+  return per_page != 0 && page > kPastEnd / per_page ? kPastEnd : page * per_page;
+}
 
 /// The /api/v1/app/<id> document. The string fields view entity strings
 /// owned elsewhere: the served store's for an in-process answer, `document`

@@ -14,7 +14,10 @@ LiveEventLog::LiveEventLog(Columns columns, const LiveOptions& options)
       arena_(columns, options.max_rows, options.segment_rows, options.backing_file,
              options.metrics),
       index_(options.max_users),
-      metrics_(options.metrics) {
+      metrics_(options.metrics),
+      appended_(options.metrics != nullptr
+                    ? &options.metrics->counter("live_events_appended_total")
+                    : nullptr) {
   // Rows are referenced as u32 everywhere downstream (ordinals, stream row
   // lists, the query engine's row sets) — same ceiling as the batch log.
   if (options.max_rows > std::numeric_limits<std::uint32_t>::max()) {
@@ -85,7 +88,7 @@ std::uint64_t LiveEventLog::append(std::uint32_t user, std::uint32_t app, std::i
   arena_.commit_rows(row + 1);
   write_row(row, user, app, day, rating);
   publish(row, 1);
-  if (metrics_ != nullptr) metrics_->counter("live_events_appended_total").inc();
+  if (appended_ != nullptr) appended_->inc();
   return row;
 }
 
@@ -146,7 +149,7 @@ std::uint64_t LiveEventLog::append_batch(const EventLog& batch, const IngestOpti
   }
 
   publish(base, n);
-  if (metrics_ != nullptr) metrics_->counter("live_events_appended_total").inc(n);
+  if (appended_ != nullptr) appended_->inc(n);
   return base;
 }
 
@@ -221,16 +224,6 @@ std::uint64_t FrontierSnapshot::stream_size(std::uint32_t user) const {
                      log_ == nullptr ? 0 : log_->max_users()));
   }
   return log_->index_.visible_count(user, rows_);
-}
-
-EventLog FrontierSnapshot::to_event_log() const {
-  const Columns columns = this->columns();
-  return EventLog::from_columns(
-      columns, std::vector<std::uint32_t>(user().begin(), user().end()),
-      std::vector<std::uint32_t>(app().begin(), app().end()),
-      std::vector<std::int32_t>(day().begin(), day().end()),
-      std::vector<std::uint32_t>(ordinal().begin(), ordinal().end()),
-      std::vector<std::uint8_t>(rating().begin(), rating().end()));
 }
 
 }  // namespace appstore::events

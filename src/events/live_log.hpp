@@ -205,9 +205,6 @@ class FrontierSnapshot {
   /// stream(u).size() without materializing the row list.
   [[nodiscard]] std::uint64_t stream_size(std::uint32_t user) const;
 
-  /// Materializes the prefix as a batch EventLog (tests, interchange).
-  [[nodiscard]] EventLog to_event_log() const;
-
   [[nodiscard]] const LiveEventLog* log() const noexcept { return log_; }
 
  private:
@@ -299,7 +296,8 @@ class LiveEventLog {
   Columns columns_;
   ColumnArena arena_;
   TieredUserIndex index_;
-  obs::Registry* metrics_ = nullptr;
+  obs::Registry* metrics_ = nullptr;  ///< handed to par::parallel_for
+  obs::Counter* appended_ = nullptr;  ///< live_events_appended_total
 
   std::atomic<std::uint64_t> reserved_{0};
   std::atomic<std::uint64_t> frontier_{0};

@@ -28,7 +28,11 @@ constexpr std::uint64_t kPageSize = 4096;
 
 ColumnArena::ColumnArena(Columns columns, std::uint64_t max_rows, std::uint64_t segment_rows,
                          const std::filesystem::path& backing_file, obs::Registry* metrics)
-    : columns_(columns), max_rows_(max_rows), segment_rows_(segment_rows), metrics_(metrics) {
+    : columns_(columns),
+      max_rows_(max_rows),
+      segment_rows_(segment_rows),
+      committed_(metrics != nullptr ? &metrics->counter("live_segments_committed_total")
+                                    : nullptr) {
   if (segment_rows == 0 || (segment_rows & (segment_rows - 1)) != 0) {
     throw std::invalid_argument(
         util::format("ColumnArena: segment_rows {} is not a power of two", segment_rows));
@@ -110,9 +114,7 @@ void ColumnArena::commit_rows(std::uint64_t row_end) {
     // losers observe the higher count and retry or exit.
     if (segments_committed_.compare_exchange_weak(have, want, std::memory_order_acq_rel,
                                                   std::memory_order_acquire)) {
-      if (metrics_ != nullptr) {
-        metrics_->counter("live_segments_committed_total").inc(want - have);
-      }
+      if (committed_ != nullptr) committed_->inc(want - have);
       return;
     }
   }

@@ -94,7 +94,7 @@ class ColumnArena {
   std::uint8_t* rating_ = nullptr;
 
   std::atomic<std::uint64_t> segments_committed_{0};
-  obs::Registry* metrics_ = nullptr;
+  obs::Counter* committed_ = nullptr;  ///< live_segments_committed_total
 };
 
 }  // namespace appstore::events

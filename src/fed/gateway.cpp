@@ -35,6 +35,21 @@ template <class Answer>
 constexpr std::string_view kOutcomeLabels[6] = {"ok",        "http_4xx",     "http_5xx",
                                                 "transport", "breaker_open", "shed"};
 
+/// Bound on cached merged answers, with the service response cache's rule:
+/// at capacity the map is cleared and starts over.
+constexpr std::size_t kMaxCachedAnswers = 4096;
+
+/// The answer-cache key: the target, plus '\n' + body for a POST (the key
+/// the shard services' response caches use).
+[[nodiscard]] std::string answer_key(const net::HttpRequest& request) {
+  std::string key = request.target;
+  if (request.method == "POST") {
+    key += '\n';
+    key += request.body;
+  }
+  return key;
+}
+
 [[nodiscard]] net::UpstreamTable::Options table_options(const GatewayOptions& options) {
   net::UpstreamTable::Options table;
   table.breaker = options.breaker;
@@ -50,10 +65,15 @@ FederationGateway::FederationGateway(GatewayOptions options)
     : options_(std::move(options)), ring_(options_.ring), breakers_(table_options(options_)) {
   registry_.describe("gateway_requests_total", "Gateway responses by outcome");
   registry_.describe("gateway_upstream_calls_total", "Shard calls attempted");
+  registry_.describe("gateway_answer_cache_total",
+                     "Merged scatter-query answers served from the answer cache (hit) or "
+                     "merged (miss)");
   for (std::size_t i = 0; i < std::size(kOutcomeLabels); ++i) {
     outcome_requests_[i] = &registry_.counter("gateway_requests_total", kOutcomeLabels[i]);
   }
   upstream_calls_ = &registry_.counter("gateway_upstream_calls_total");
+  answer_hits_ = &registry_.counter("gateway_answer_cache_total", "hit");
+  answer_misses_ = &registry_.counter("gateway_answer_cache_total", "miss");
 }
 
 void FederationGateway::add_upstream(const std::string& id, Call call) {
@@ -344,7 +364,7 @@ FederationGateway::Routed FederationGateway::route_comments(const net::HttpReque
     return a->day < b->day;
   });
   std::vector<events::Event> slice;
-  const std::uint64_t first = page * crawlersim::kCommentsPerPage;
+  const std::uint64_t first = crawlersim::page_start(page, crawlersim::kCommentsPerPage);
   for (std::uint64_t i = first; i < rows.size() && i - first < crawlersim::kCommentsPerPage;
        ++i) {
     slice.push_back(*rows[i]);
@@ -366,7 +386,7 @@ FederationGateway::Routed FederationGateway::route_query(const net::HttpRequest&
     return route_single(request, static_cast<std::uint64_t>(*user));
   }
   const market::Day day = request_day();
-  const auto results = scatter<crawlersim::PartialResponse>(
+  const Fragments results = scatter<crawlersim::PartialResponse>(
       [&](Shard& shard) { return shard.partial(request, day); });
   if (auto error = scatter_error(results)) return std::move(*error);
 
@@ -379,13 +399,50 @@ FederationGateway::Routed FederationGateway::route_query(const net::HttpRequest&
     }
     partials.push_back(result.answer.value.get());
   }
+  std::string key = answer_key(request);
+  if (std::optional<std::string> body = cached_answer(key, results)) {
+    answer_hits_->inc();
+    return classify(net::HttpResponse::json(200, std::move(*body)));
+  }
+  answer_misses_->inc();
+  std::string body;
   try {
     const query::QueryResult merged = query::merge_partials(spec, partials);
-    return classify(net::HttpResponse::json(
-        200, crawlersim::query_result_json(merged, partials.front()->day).dump()));
+    body = crawlersim::query_result_json(merged, partials.front()->day).dump();
   } catch (const query::QueryError& error) {
     return {error_response(502, "shard_divergence", error.what()), Outcome::kHttp5xx};
   }
+  cache_answer(std::move(key), results, body);
+  return classify(net::HttpResponse::json(200, std::move(body)));
+}
+
+std::optional<std::string> FederationGateway::cached_answer(const std::string& key,
+                                                            const Fragments& fragments) const {
+  const std::shared_lock lock(answers_mutex_);
+  const auto it = answers_.find(key);
+  if (it == answers_.end() || it->second.fragments.size() != fragments.size()) {
+    return std::nullopt;
+  }
+  // lock(), never a stored address: an expired fragment matches nothing,
+  // even when a new fragment reuses its address.
+  for (std::size_t i = 0; i < fragments.size(); ++i) {
+    if (it->second.fragments[i].lock() != fragments[i].answer.value) return std::nullopt;
+  }
+  return it->second.body;
+}
+
+void FederationGateway::cache_answer(std::string key, const Fragments& fragments,
+                                     const std::string& body) {
+  CachedAnswer entry;
+  entry.fragments.reserve(fragments.size());
+  for (const auto& fragment : fragments) {
+    if (fragment.answer.value.use_count() < 2) return;
+    entry.fragments.emplace_back(fragment.answer.value);
+  }
+  entry.body = body;
+  const std::unique_lock lock(answers_mutex_);
+  if (answers_.size() >= kMaxCachedAnswers) answers_.clear();
+  answers_.insert_or_assign(std::move(key), std::move(entry));
 }
 
 }  // namespace appstore::fed

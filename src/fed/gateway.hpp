@@ -25,6 +25,15 @@
 //                                 runs, which is what makes federated
 //                                 answers bit-exact (docs/federation.md)
 //
+// The answer cache: merge_partials is a pure function of (spec, fragments),
+// and the spec of the request key, so a merged scatter-query body is kept
+// with weak references to the fragments it was merged from, and served
+// again only while every shard hands back those same fragment objects
+// (each shard's response cache keeps handing back one object per (day,
+// epoch) stamp; any set_day or publish gives it a new one). The shard calls
+// still all run first, so admission, the breakers, the fault seam and the
+// accounting see every request.
+//
 // Shards are fed::Shard objects (fed/shard.hpp). Federation::attach
 // registers a ServiceShard per in-process shard, so no JSON passes between
 // gateway and shard; an upstream registered with an HTTP call becomes an
@@ -56,6 +65,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/clock.hpp"
@@ -68,6 +78,7 @@
 #include "net/http.hpp"
 #include "net/upstreams.hpp"
 #include "obs/registry.hpp"
+#include "query/engine.hpp"
 
 namespace appstore::fed {
 
@@ -215,18 +226,42 @@ class FederationGateway {
 
   [[nodiscard]] Upstream* find_upstream(const std::string& id) noexcept;
 
+  using Fragments = std::vector<CallResult<crawlersim::PartialResponse>>;
+  /// The cached body for `key` when it was merged from exactly `fragments`
+  /// (the same objects, in scatter order).
+  [[nodiscard]] std::optional<std::string> cached_answer(const std::string& key,
+                                                         const Fragments& fragments) const;
+  /// Caches `body` as merged from `fragments`, unless one of them is held by
+  /// no one else (an HttpShard's or an uncached shard's), so it can never
+  /// be handed back.
+  void cache_answer(std::string key, const Fragments& fragments, const std::string& body);
+
+  /// A merged scatter-query body and the fragments it was merged from.
+  /// Weak: the shard caches own the fragments, and an entry must not pin
+  /// ones they have dropped.
+  struct CachedAnswer {
+    std::vector<std::weak_ptr<const query::PartialAggregate>> fragments;
+    std::string body;
+  };
+
   GatewayOptions options_;
   obs::Registry registry_;
 
   /// Lock-free handles into registry_, resolved at construction.
   obs::Counter* outcome_requests_[6] = {};  ///< gateway_requests_total, index = Outcome
   obs::Counter* upstream_calls_ = nullptr;
+  obs::Counter* answer_hits_ = nullptr;    ///< gateway_answer_cache_total{hit}
+  obs::Counter* answer_misses_ = nullptr;  ///< gateway_answer_cache_total{miss}
 
   HashRing ring_;
   net::UpstreamTable breakers_;
 
   mutable std::shared_mutex upstreams_mutex_;
   std::vector<std::unique_ptr<Upstream>> upstreams_;  ///< ring-member order
+
+  mutable std::shared_mutex answers_mutex_;
+  /// Keyed by target, plus '\n' + body for a POST; cleared at capacity.
+  std::unordered_map<std::string, CachedAnswer> answers_;
 };
 
 }  // namespace appstore::fed

@@ -72,32 +72,41 @@ void validate(const QuerySpec& spec, const QueryOptions& options) {
   return days.empty() ? 0 : days[row];
 }
 
-/// The counts sorted descending by an LSD radix sort over 8-bit digits. One
-/// pass builds every digit's histogram; a digit on which all counts agree
-/// moves nothing and is skipped, so download counts take two or three passes.
+/// The counts sorted descending by an LSD radix sort over 8-bit digits.
+/// Zeros sort last, so only the non-zero counts are sorted — a selection of
+/// one user touches a hundred apps out of thousands — and the zeros the
+/// compaction leaves behind them fill the tail. One pass builds every
+/// digit's histogram; a digit on which all counts agree moves nothing and is
+/// skipped, so download counts take two or three passes.
 [[nodiscard]] std::vector<std::uint64_t> sorted_descending(
     std::span<const std::uint64_t> counts) {
+  std::vector<std::uint64_t> sorted(counts.size());
+  std::size_t n = 0;
+  for (const std::uint64_t count : counts) {
+    sorted[n] = count;
+    n += count != 0 ? 1 : 0;
+  }
   constexpr std::size_t kDigits = sizeof(std::uint64_t);
   std::array<std::array<std::size_t, 256>, kDigits> histograms{};
-  for (const std::uint64_t count : counts) {
-    for (std::size_t d = 0; d < kDigits; ++d) ++histograms[d][(count >> (8 * d)) & 0xff];
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < kDigits; ++d) ++histograms[d][(sorted[i] >> (8 * d)) & 0xff];
   }
-  std::vector<std::uint64_t> sorted(counts.begin(), counts.end());
-  std::vector<std::uint64_t> scratch(counts.size());
+  std::vector<std::uint64_t> scratch(n);
+  std::span<std::uint64_t> from(sorted.data(), n);
+  std::span<std::uint64_t> to(scratch);
   for (std::size_t d = 0; d < kDigits; ++d) {
     std::array<std::size_t, 256>& offsets = histograms[d];
-    if (std::find(offsets.begin(), offsets.end(), counts.size()) != offsets.end()) continue;
+    if (std::find(offsets.begin(), offsets.end(), n) != offsets.end()) continue;
     // Buckets laid out from the highest digit down; each pass is stable, so
     // the order after the last pass is descending over all digits.
     std::size_t offset = 0;
     for (std::size_t bucket = offsets.size(); bucket-- > 0;) {
       offset += std::exchange(offsets[bucket], offset);
     }
-    for (const std::uint64_t count : sorted) {
-      scratch[offsets[(count >> (8 * d)) & 0xff]++] = count;
-    }
-    sorted.swap(scratch);
+    for (const std::uint64_t count : from) to[offsets[(count >> (8 * d)) & 0xff]++] = count;
+    std::swap(from, to);
   }
+  if (from.data() != sorted.data()) std::copy(from.begin(), from.end(), sorted.begin());
   return sorted;
 }
 

@@ -313,6 +313,48 @@ TEST_F(ServiceFixture, PaginationCoversDirectory) {
   EXPECT_EQ(seen, generated_->store->apps().size());
 }
 
+TEST_F(ServiceFixture, PagesWhoseFirstRowOverflowsAreEmpty) {
+  // page * per_page past 2^64 must not wrap to a small row index: such a
+  // page starts past every end, so it answers the empty page with the true
+  // total, as any page past the end does.
+  ServicePolicy policy;
+  policy.rate_per_second = 1e9;
+  policy.burst = 1e9;
+  AppstoreService service(*generated_->store, policy);
+  service.set_day(1 << 20);
+  const auto answer = [&](const std::string& target) {
+    net::HttpRequest request;
+    request.target = target;
+    const net::HttpResponse response = service.respond(request);
+    EXPECT_EQ(response.status, 200) << target << " " << response.body;
+    return *parse_json(response.body);
+  };
+
+  const std::uint64_t apps = answer("/api/v1/apps?page=1000").at("total").as_u64();
+  ASSERT_GT(apps, 84u);  // 184467440737095517 * 100 wraps to row 84
+  for (const std::string target : {"/api/v1/apps?page=184467440737095517&per_page=100",
+                                   "/api/v1/apps?page=9223372036854775808&per_page=50",
+                                   "/api/v1/apps?page=18446744073709551615&per_page=500"}) {
+    const Json page = answer(target);
+    EXPECT_TRUE(page.at("ids").as_array().empty()) << target << " " << page.dump();
+    EXPECT_EQ(page.at("total").as_u64(), apps) << target;
+  }
+
+  // 2^61 * 200 wraps to row 0: the first page's rows at the parent.
+  std::uint64_t id = 0;
+  std::uint64_t total = 0;
+  for (; id < generated_->store->apps().size(); ++id) {
+    total = answer(util::format("/api/v1/app/{}/comments", id)).at("total").as_u64();
+    if (total > 0) break;
+  }
+  ASSERT_GT(total, 0u) << "no commented app";
+  for (const std::string page : {"2305843009213693952", "18446744073709551615"}) {
+    const Json comments = answer(util::format("/api/v1/app/{}/comments?page={}", id, page));
+    EXPECT_TRUE(comments.at("comments").as_array().empty()) << page << " " << comments.dump();
+    EXPECT_EQ(comments.at("total").as_u64(), total) << page;
+  }
+}
+
 TEST_F(ServiceFixture, UnknownRoutesAnd404) {
   AppstoreService service(*generated_->store, ServicePolicy{});
   service.set_day(60);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "events/event_log.hpp"
+#include "frontier_copy.hpp"
 #include "market/store.hpp"
 #include "obs/registry.hpp"
 #include "synth/generator.hpp"
@@ -190,7 +191,7 @@ TEST(EventLogStore, LiveStreamsMatchBatchCsrOnSeededStore) {
   const market::AppStore& store = *generated.store;
   ASSERT_GT(store.comment_log().size(), 0u);
 
-  events::EventLog batch_comments = store.comment_log().to_event_log();
+  events::EventLog batch_comments = testing_support::to_event_log(store.comment_log());
   batch_comments.build_index(store.user_count());
   for (std::uint32_t u = 0; u < store.user_count(); ++u) {
     const auto view = store.comment_stream(market::UserId{u});
@@ -208,7 +209,7 @@ TEST(EventLogStore, LiveStreamsMatchBatchCsrOnSeededStore) {
     }
   }
 
-  events::EventLog batch_downloads = store.download_log().to_event_log();
+  events::EventLog batch_downloads = testing_support::to_event_log(store.download_log());
   batch_downloads.build_index(store.user_count());
   for (std::uint32_t u = 0; u < store.user_count(); ++u) {
     const auto view = store.download_stream(market::UserId{u});

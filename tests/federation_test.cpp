@@ -26,6 +26,12 @@
 //   * One day per request — merge_partials refuses fragments of two days,
 //     and scatter queries and app pages racing Federation::set_day answer
 //     exactly as a single store does at one of the two days.
+//   * The answer cache — repeated scatter queries answer the first answer's
+//     bytes (an HTTP-only gateway's too, which never hits) while every
+//     shard call still runs; after set_day and after a new download the
+//     next identical query answers a single store's payload.
+//   * A comments page whose first row overflows 64 bits is empty, and every
+//     registered metric family is a row of docs/observability.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -64,6 +70,9 @@
 
 #ifndef APPSTORE_GOLDEN_DIR
 #error "APPSTORE_GOLDEN_DIR must point at tests/golden (set by tests/CMakeLists.txt)"
+#endif
+#ifndef APPSTORE_DOCS_DIR
+#error "APPSTORE_DOCS_DIR must point at docs/ (set by tests/CMakeLists.txt)"
 #endif
 
 namespace appstore {
@@ -1251,6 +1260,205 @@ TEST(OneDayPerRequest, ScattersRacingSetDayAnswerAtOneDay) {
   EXPECT_EQ(answers.load(), 600u);
   EXPECT_EQ(wrong.load(), 0u);
   expect_fully_accounted(gateway.stats());
+}
+
+// ---- the gateway's answer cache ---------------------------------------------------
+
+[[nodiscard]] std::uint64_t answer_cache(fed::FederationGateway& gateway,
+                                         std::string_view outcome) {
+  return counter_value(gateway.metrics(), "gateway_answer_cache_total", outcome);
+}
+
+/// Store-wide scatter queries as a dashboard sends them, and one POST.
+[[nodiscard]] std::vector<net::HttpRequest> dashboard_requests() {
+  std::vector<net::HttpRequest> requests;
+  for (const std::string target : {
+           "/api/v1/query?kind=top_k_downloads&k=10",
+           "/api/v1/query?kind=pareto_share",
+           "/api/v1/query?kind=category_affinity&depths=1,2,3&min_samples=1",
+           "/api/v1/query?kind=rank_download_curve&points=100",
+           "/api/v1/query?kind=top_k_downloads&k=10&filter=day<=40",
+           "/api/v1/query?kind=pareto_share&filter=category==2",
+       }) {
+    requests.push_back(get(target));
+  }
+  net::HttpRequest post = get("/api/v1/query");
+  post.method = "POST";
+  post.body =
+      "{\"kind\": \"top_k_downloads\", \"k\": 7, "
+      "\"filter\": {\"field\": \"day\", \"op\": \"<=\", \"value\": 60}}";
+  requests.push_back(post);
+  return requests;
+}
+
+TEST(AnswerCache, RepeatedScatterQueriesAnswerTheFirstBytes) {
+  // A repeat is served from the answer cache: the first answer's bytes,
+  // which are an HTTP-only gateway's bytes, while every shard call still
+  // runs. An HTTP-only gateway decodes new fragments on every call, so it
+  // never hits. A new day gives every shard new fragments, so the first
+  // request after it merges again.
+  fed::Federation federation = small_federation(unlimited_policy(), 2, true);
+  fed::FederationGateway gateway;
+  federation.attach(gateway);
+  const auto http = http_only_gateway(federation);
+  const std::vector<net::HttpRequest> requests = dashboard_requests();
+  constexpr std::uint64_t kRepeats = 3;
+  const std::uint64_t shards = federation.services.size();
+  for (const market::Day day : {market::Day{40}, kEndOfHistory}) {
+    federation.set_day(day);
+    for (const net::HttpRequest& request : requests) {
+      const std::string what = util::format("day {} {}{}", day, request.target, request.body);
+      const std::uint64_t hits = answer_cache(gateway, "hit");
+      const std::uint64_t misses = answer_cache(gateway, "miss");
+      const std::uint64_t calls = gateway.stats().upstream_calls;
+      const net::HttpResponse first = gateway.respond(request);
+      ASSERT_EQ(first.status, 200) << what << " " << first.body;
+      EXPECT_EQ(first.body, http->respond(request).body) << what;
+      for (std::uint64_t repeat = 0; repeat < kRepeats; ++repeat) {
+        EXPECT_EQ(gateway.respond(request).body, first.body) << what;
+      }
+      EXPECT_EQ(answer_cache(gateway, "miss"), misses + 1) << what;
+      EXPECT_EQ(answer_cache(gateway, "hit"), hits + kRepeats) << what;
+      EXPECT_EQ(gateway.stats().upstream_calls, calls + (1 + kRepeats) * shards) << what;
+    }
+  }
+  EXPECT_EQ(answer_cache(*http, "hit"), 0u);
+  EXPECT_EQ(answer_cache(*http, "miss"), 2 * requests.size());
+
+  // A shard that leaves takes its fragment with it: the remaining shard's
+  // fragments alone are another answer, never the two-shard body.
+  ASSERT_TRUE(gateway.remove_upstream(federation.shard_ids.back()));
+  ASSERT_TRUE(http->remove_upstream(federation.shard_ids.back()));
+  for (const net::HttpRequest& request : requests) {
+    EXPECT_EQ(gateway.respond(request).body, http->respond(request).body)
+        << "one shard left, " << request.target << request.body;
+  }
+  expect_fully_accounted(gateway.stats());
+}
+
+TEST(AnswerCache, NewDayAndNewDownloadsAnswerAsASingleStore) {
+  // After Federation::set_day, and after a download lands on its user's
+  // shard, the next identical query must merge the shards' new fragments:
+  // a single store under the same change answers the same payload.
+  fed::Federation federation = small_federation(unlimited_policy(), 4);
+  fed::FederationGateway gateway;
+  federation.attach(gateway);
+  synth::GeneratorConfig config = golden_config();
+  config.app_scale = 0.005;
+  synth::GeneratedStore single = synth::generate(synth::anzhi(), config);
+  crawlersim::AppstoreService service(*single.store, unlimited_policy());
+
+  const std::vector<net::HttpRequest> requests = dashboard_requests();
+  const auto expect_single_store_payloads = [&](const std::string& when) {
+    for (const net::HttpRequest& request : requests) {
+      const std::string expected = payload_of(service.respond(request).body);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const net::HttpResponse merged = gateway.respond(request);
+        ASSERT_EQ(merged.status, 200) << when << " " << request.target << " " << merged.body;
+        EXPECT_EQ(payload_of(merged.body), expected) << when << " " << request.target << request.body;
+      }
+    }
+  };
+  for (const market::Day day : {market::Day{40}, market::Day{60}}) {
+    federation.set_day(day);
+    service.set_day(day);
+    expect_single_store_payloads(util::format("at day {}", day));
+  }
+  const std::uint32_t user = 5;
+  market::AppStore& owner = *federation.stores[federation.ring.owner_index(user)].store;
+  for (std::uint32_t app = 0; app < 3; ++app) {
+    owner.record_download(market::UserId{user}, market::AppId{app}, 60);
+    single.store->record_download(market::UserId{user}, market::AppId{app}, 60);
+    expect_single_store_payloads(util::format("after a download of app {}", app));
+  }
+  EXPECT_GT(answer_cache(gateway, "hit"), 0u);
+}
+
+TEST(Gateway, CommentsPagesWhoseFirstRowOverflowsAreEmpty) {
+  // page * 200 past 2^64 must not wrap to a small row index: the merged
+  // page is empty and states the true total.
+  const fed::Federation federation = small_federation(unlimited_policy(), 2, true);
+  fed::FederationGateway gateway;
+  federation.attach(gateway);
+  const auto answer = [&](const std::string& target) {
+    const net::HttpResponse response = gateway.respond(get(target));
+    EXPECT_EQ(response.status, 200) << target << " " << response.body;
+    return *crawlersim::parse_json(response.body);
+  };
+  std::uint64_t id = 0;
+  std::uint64_t total = 0;
+  for (; id < federation.stores.front().store->apps().size(); ++id) {
+    total = answer(util::format("/api/v1/app/{}/comments", id)).at("total").as_u64();
+    if (total > 0) break;
+  }
+  ASSERT_GT(total, 0u) << "no commented app";
+  // 2^61 * 200 wraps to row 0.
+  for (const std::string page : {"2305843009213693952", "18446744073709551615"}) {
+    const crawlersim::Json merged =
+        answer(util::format("/api/v1/app/{}/comments?page={}", id, page));
+    EXPECT_TRUE(merged.at("comments").as_array().empty()) << page << " " << merged.dump();
+    EXPECT_EQ(merged.at("total").as_u64(), total) << page;
+  }
+}
+
+// ---- documented metric families --------------------------------------------------
+
+/// Every backquoted metric name in the "Wired families" table of
+/// docs/observability.md, labels stripped.
+[[nodiscard]] std::set<std::string> documented_families() {
+  std::ifstream in(std::string(APPSTORE_DOCS_DIR) + "/observability.md");
+  std::set<std::string> names;
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (line.starts_with("## ")) in_table = line == "## Wired families";
+    if (!in_table) continue;
+    for (std::size_t open = line.find('`'); open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string token = line.substr(open + 1, close - open - 1);
+      names.insert(token.substr(0, token.find('{')));
+      open = line.find('`', close + 1);
+    }
+  }
+  return names;
+}
+
+TEST(Observability, EveryRegisteredFamilyIsDocumented) {
+  // Once every route has served a request, each family in the gateway's
+  // registry and in the shard services' registries must be a row of the
+  // docs' table.
+  const fed::Federation federation = small_federation(unlimited_policy(), 2, true);
+  fed::FederationGateway gateway;
+  federation.attach(gateway);
+  for (const std::string target :
+       {"/api/v1/meta", "/api/v1/apps?page=0", "/api/v1/app/1", "/api/v1/app/1/comments",
+        "/api/v1/app/1/apk", "/api/v1/query?kind=pareto_share",
+        "/api/v1/query?kind=top_k_downloads&filter=user==3", "/api/v1/metrics",
+        "/api/v1/nope"}) {
+    (void)gateway.respond(get(target));
+  }
+  for (const net::HttpRequest& request : dashboard_requests()) (void)gateway.respond(request);
+
+  const std::set<std::string> documented = documented_families();
+  ASSERT_TRUE(documented.contains("service_requests_total")) << "docs table not found";
+  std::vector<const obs::Registry*> registries = {&gateway.metrics()};
+  for (const auto& service : federation.services) registries.push_back(&service->metrics());
+  std::set<std::string> missing;
+  const auto check = [&](const auto& samples) {
+    for (const auto& sample : samples) {
+      if (!documented.contains(sample.name)) missing.insert(sample.name);
+    }
+  };
+  for (const obs::Registry* registry : registries) {
+    const obs::Snapshot snapshot = registry->snapshot();
+    check(snapshot.counters);
+    check(snapshot.gauges);
+    check(snapshot.histograms);
+  }
+  std::string list;
+  for (const std::string& name : missing) list += " " + name;
+  EXPECT_TRUE(missing.empty()) << "registered but not in docs/observability.md:" << list;
 }
 
 }  // namespace

@@ -23,6 +23,8 @@
 #include "events/event_log.hpp"
 #include "events/live_io.hpp"
 #include "events/live_log.hpp"
+#include "frontier_copy.hpp"
+#include "obs/registry.hpp"
 
 namespace appstore {
 namespace {
@@ -279,7 +281,7 @@ TEST(LiveEventLog, SnapshotsAreValidPrefixesUnderConcurrentWriters) {
 
   // The completed log must byte-match a serial replay of the same rows.
   const events::FrontierSnapshot final_snapshot = live.snapshot();
-  events::EventLog replay = final_snapshot.to_event_log();
+  events::EventLog replay = testing_support::to_event_log(final_snapshot);
   replay.build_index(kWriters * kUsersPerWriter);
   for (std::uint32_t u = 0; u < kWriters * kUsersPerWriter; ++u) {
     const events::LiveStreamView stream = final_snapshot.stream(u);
@@ -312,6 +314,41 @@ TEST(LiveEventLog, CrossesSegmentBoundariesTransparently) {
   }
   EXPECT_EQ(live.arena().segments_committed(), (1000 + 63) / 64);
   EXPECT_GT(live.bytes(), 0u);
+}
+
+TEST(LiveEventLog, MetricsCountAppendedRowsAndCommittedSegments) {
+  // Both counters are resolved once at construction and bumped without the
+  // registry mutex: four appending threads and one batch must land in them
+  // exactly (and race-free under the TSan preset).
+  obs::Registry registry;
+  events::LiveOptions options = small_options(1u << 14, 64, 64);
+  options.metrics = &registry;
+  events::LiveEventLog live(Columns::kDay, options);
+  constexpr std::uint32_t kThreads = 4;
+  constexpr std::uint32_t kPerThread = 1000;
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&live, t] {
+      for (std::uint32_t i = 0; i < kPerThread; ++i) {
+        live.append(t * 16 + i % 16, i, static_cast<std::int32_t>(i / 16));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  events::EventLog batch(Columns::kDay);
+  for (std::uint32_t i = 0; i < 500; ++i) batch.append(i % 64, i, 70);
+  (void)live.append_batch(batch, {.threads = 2});
+
+  const std::uint64_t rows = kThreads * kPerThread + 500;
+  ASSERT_EQ(live.frontier(), rows);
+  const obs::Snapshot snapshot = registry.snapshot();
+  const obs::CounterSample* appended = snapshot.find_counter("live_events_appended_total");
+  const obs::CounterSample* committed = snapshot.find_counter("live_segments_committed_total");
+  ASSERT_NE(appended, nullptr);
+  ASSERT_NE(committed, nullptr);
+  EXPECT_EQ(appended->value, rows);
+  EXPECT_EQ(committed->value, live.arena().segments_committed());
+  EXPECT_EQ(committed->value, (rows + 63) / 64);
 }
 
 TEST(LiveEventLog, MmapBackedModeRoundTrips) {

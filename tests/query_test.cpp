@@ -697,9 +697,9 @@ TEST(QueryFinalize, TopKEqualsTheFullSortUnderTies) {
 }
 
 TEST(QueryFinalize, ParetoAndRankCurveMatchAStdSortReference) {
-  // finalize_downloads radix-sorts the integer counts once; pareto shares
-  // and rank curves must equal the double sort inside stats::top_shares and
-  // a std::sort of the counts, bit for bit.
+  // finalize_downloads radix-sorts the non-zero integer counts once; pareto
+  // shares and rank curves must equal the double sort inside
+  // stats::top_shares and a std::sort of the counts, bit for bit.
   std::mt19937_64 rng(2113);
   std::vector<std::vector<std::uint64_t>> cases;
   cases.emplace_back();
@@ -723,6 +723,16 @@ TEST(QueryFinalize, ParetoAndRankCurveMatchAStdSortReference) {
     for (std::uint64_t& count : wide) count = rng() >> (rng() % 64);
     cases.push_back(std::move(wide));
   }
+  // Mostly zeros, as a one-user selection leaves them: only the non-zero
+  // counts are radix-sorted, and the zeros pad the tail.
+  std::vector<std::uint64_t> sparse(6'020, 0);
+  for (std::uint64_t& count : sparse) {
+    if (rng() % 100 == 0) count = 1 + rng() % 5'000;
+  }
+  cases.push_back(std::move(sparse));
+  std::vector<std::uint64_t> single(6'020, 0);
+  single[4'211] = 3;
+  cases.push_back(std::move(single));
 
   query::QuerySpec pareto;
   pareto.kind = query::AggregateKind::kParetoShare;
