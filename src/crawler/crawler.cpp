@@ -14,7 +14,23 @@ namespace appstore::crawlersim {
 
 namespace {
 constexpr std::string_view kComponent = "crawler";
+
+/// `value` as a T; throws std::out_of_range, as a missing member does,
+/// unless it is an integer inside T's range.
+template <class T>
+[[nodiscard]] T integer_of(const Json& value, std::string_view what) {
+  const std::optional<T> number = value.as_integer<T>();
+  if (!number.has_value()) {
+    throw std::out_of_range(util::format("crawler: '{}' is not an in-range integer", what));
+  }
+  return *number;
 }
+
+template <class T>
+[[nodiscard]] T integer_at(const Json& document, std::string_view key) {
+  return integer_of<T>(document.at(key), key);
+}
+}  // namespace
 
 std::chrono::milliseconds decorrelated_backoff(std::chrono::milliseconds base,
                                                std::chrono::milliseconds cap,
@@ -205,8 +221,8 @@ void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
   metadata.has_ads = parsed->at("has_ads").as_bool();
 
   AppObservation observation;
-  observation.downloads = parsed->at("downloads").as_u64();
-  observation.version = static_cast<std::uint32_t>(parsed->at("version").as_u64());
+  observation.downloads = integer_at<std::uint64_t>(*parsed, "downloads");
+  observation.version = integer_at<std::uint32_t>(*parsed, "version");
   observation.price_dollars = parsed->at("price").as_number();
 
   {
@@ -249,7 +265,7 @@ void Crawler::crawl_app(std::uint32_t id, market::Day day, CrawlStats& stats,
       if (!comments.has_value()) break;
       const auto& array = comments->at("comments").as_array();
       stats.comments_observed += array.size();
-      const std::uint64_t total = comments->at("total").as_u64();
+      const auto total = integer_at<std::uint64_t>(*comments, "total");
       ++comment_page;
       if (comment_page * 200 >= total || array.empty()) break;
     }
@@ -278,9 +294,9 @@ CrawlStats Crawler::crawl_day(market::Day day) {
       if (!parsed.has_value()) throw std::runtime_error("crawl_day: bad directory JSON");
       const auto& id_array = parsed->at("ids").as_array();
       for (const auto& id : id_array) {
-        ids.push_back(static_cast<std::uint32_t>(id.as_u64()));
+        ids.push_back(integer_of<std::uint32_t>(id, "ids"));
       }
-      const std::uint64_t total = parsed->at("total").as_u64();
+      const auto total = integer_at<std::uint64_t>(*parsed, "total");
       ++page;
       if (page * options_.per_page >= total || id_array.empty()) break;
     }

@@ -6,7 +6,10 @@
 // preserved, duplicate keys keep the last value.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -49,7 +52,19 @@ class Json {
   /// Typed accessors; throw std::bad_variant_access on kind mismatch.
   [[nodiscard]] bool as_bool() const { return std::get<bool>(value_); }
   [[nodiscard]] double as_number() const { return std::get<double>(value_); }
-  [[nodiscard]] std::uint64_t as_u64() const { return static_cast<std::uint64_t>(as_number()); }
+  /// The number as a T: nullopt unless this is a number that is integral
+  /// and inside T's range, so no conversion rounds, wraps or overflows.
+  template <std::integral T>
+  [[nodiscard]] std::optional<T> as_integer() const noexcept {
+    const double* number = std::get_if<double>(&value_);
+    if (number == nullptr) return std::nullopt;
+    const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double low = std::numeric_limits<T>::is_signed ? -bound : 0.0;
+    if (!(*number >= low && *number < bound) || *number != std::floor(*number)) {
+      return std::nullopt;
+    }
+    return static_cast<T>(*number);
+  }
   [[nodiscard]] const std::string& as_string() const { return std::get<std::string>(value_); }
   [[nodiscard]] const JsonArray& as_array() const { return std::get<JsonArray>(value_); }
   [[nodiscard]] const JsonObject& as_object() const { return std::get<JsonObject>(value_); }

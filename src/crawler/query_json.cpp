@@ -125,11 +125,22 @@ constexpr std::size_t kMaxListItems = 64;
 }
 
 [[nodiscard]] std::size_t json_count(const Json& value, std::string_view name) {
-  if (!value.is_number() || value.as_number() < 0.0) {
-    throw QueryError("bad_query", util::format("query: '{}' must be a non-negative number",
+  const std::optional<std::size_t> count = value.as_integer<std::size_t>();
+  if (!count.has_value()) {
+    throw QueryError("bad_query", util::format("query: '{}' must be a non-negative integer",
                                                name));
   }
-  return static_cast<std::size_t>(value.as_number());
+  return *count;
+}
+
+/// Appends the plan statistics member of a result or partial document.
+template <class Statistics>
+void add_plan(JsonObject& document, const Statistics& plan) {
+  document.emplace_back(
+      "plan", json_object({{"index_scans", static_cast<std::uint64_t>(plan.index_scans)},
+                           {"column_scans", static_cast<std::uint64_t>(plan.column_scans)},
+                           {"residual_filters", static_cast<std::uint64_t>(plan.residual_filters)},
+                           {"table_lookups", static_cast<std::uint64_t>(plan.table_lookups)}}));
 }
 
 [[nodiscard]] query::QuerySpec spec_from_body(const std::string& body) {
@@ -208,11 +219,7 @@ Json query_partial_json(const query::PartialAggregate& partial) {
   document.emplace_back("kind", Json(query::to_string(partial.kind)));
   document.emplace_back("day", Json(static_cast<std::int64_t>(partial.day)));
   document.emplace_back("partial", Json(true));
-  document.emplace_back(
-      "plan", json_object({{"index_scans", static_cast<std::uint64_t>(partial.index_scans)},
-                           {"column_scans", static_cast<std::uint64_t>(partial.column_scans)},
-                           {"residual_filters",
-                            static_cast<std::uint64_t>(partial.residual_filters)}}));
+  add_plan(document, partial);
   document.emplace_back("rows_total", Json(partial.rows_total));
   document.emplace_back("rows_selected", Json(partial.rows_selected));
 
@@ -257,28 +264,28 @@ query::PartialAggregate partial_from_json(const Json& document) {
   if (flag == nullptr || !flag->is_bool() || !flag->as_bool()) {
     return fail("missing 'partial: true' marker");
   }
+  // An integer member reads 0 when absent; anything but an integer in the
+  // member's range fails the partial.
+  const auto integer = [&]<class T>(const Json& object, std::string_view name, T& out) {
+    const Json* value = object.find(name);
+    if (value == nullptr) return;
+    const std::optional<T> number = value->as_integer<T>();
+    if (!number.has_value()) {
+      fail(util::format("'{}' must be an in-range integer", name));
+    }
+    out = *number;
+  };
   query::PartialAggregate partial;
   partial.kind = query::parse_aggregate_kind(kind->as_string());
-  if (const Json* day = document.find("day"); day != nullptr && day->is_number()) {
-    partial.day = static_cast<market::Day>(day->as_number());
-  }
+  integer(document, "day", partial.day);
   if (const Json* plan = document.find("plan"); plan != nullptr && plan->is_object()) {
-    const auto plan_count = [&](std::string_view name) -> std::uint32_t {
-      const Json* value = plan->find(name);
-      return value != nullptr && value->is_number()
-                 ? static_cast<std::uint32_t>(value->as_number())
-                 : 0;
-    };
-    partial.index_scans = plan_count("index_scans");
-    partial.column_scans = plan_count("column_scans");
-    partial.residual_filters = plan_count("residual_filters");
+    integer(*plan, "index_scans", partial.index_scans);
+    integer(*plan, "column_scans", partial.column_scans);
+    integer(*plan, "residual_filters", partial.residual_filters);
+    integer(*plan, "table_lookups", partial.table_lookups);
   }
-  const auto u64_member = [&](std::string_view name) -> std::uint64_t {
-    const Json* value = document.find(name);
-    return value != nullptr && value->is_number() ? value->as_u64() : 0;
-  };
-  partial.rows_total = u64_member("rows_total");
-  partial.rows_selected = u64_member("rows_selected");
+  integer(document, "rows_total", partial.rows_total);
+  integer(document, "rows_selected", partial.rows_selected);
 
   if (partial.kind == query::AggregateKind::kCategoryAffinity) {
     if (const Json* walk = document.find("random_walk"); walk != nullptr) {
@@ -295,12 +302,14 @@ query::PartialAggregate partial_from_json(const Json& document) {
         return fail("sample rows need [user, comments, values...]");
       }
       const JsonArray& fields = row.as_array();
-      if (!fields[0].is_number() || !fields[1].is_number()) {
-        return fail("sample user/comments must be numbers");
+      const std::optional<std::uint32_t> user = fields[0].as_integer<std::uint32_t>();
+      const std::optional<std::uint64_t> comments = fields[1].as_integer<std::uint64_t>();
+      if (!user.has_value() || !comments.has_value()) {
+        return fail("sample user/comments must be 32- and 64-bit integers");
       }
       query::AffinityUserSample sample;
-      sample.user = static_cast<std::uint32_t>(fields[0].as_u64());
-      sample.comments = fields[1].as_u64();
+      sample.user = *user;
+      sample.comments = *comments;
       for (std::size_t i = 2; i < fields.size(); ++i) {
         if (fields[i].is_null()) {
           sample.values.push_back(std::numeric_limits<double>::quiet_NaN());
@@ -313,23 +322,22 @@ query::PartialAggregate partial_from_json(const Json& document) {
       partial.samples.push_back(std::move(sample));
     }
   } else {
-    partial.app_count = u64_member("app_count");
+    integer(document, "app_count", partial.app_count);
     const Json* counts = document.find("counts");
     if (counts == nullptr || !counts->is_array()) return fail("missing 'counts' array");
     // Both members of a pair are 32-bit: app ids, and per-app counts bounded
     // by a shard's 32-bit row ids.
-    const auto u32 = [](const Json& value) {
-      return value.is_number() && value.as_number() >= 0.0 &&
-             value.as_number() <= static_cast<double>(std::numeric_limits<std::uint32_t>::max());
-    };
     partial.counts.reserve(counts->as_array().size());
     for (const Json& pair : counts->as_array()) {
-      if (!pair.is_array() || pair.as_array().size() != 2 || !u32(pair.as_array()[0]) ||
-          !u32(pair.as_array()[1])) {
-        return fail("count entries must be [app, count] pairs of 32-bit values");
+      const bool is_pair = pair.is_array() && pair.as_array().size() == 2;
+      const std::optional<std::uint32_t> app =
+          is_pair ? pair.as_array()[0].as_integer<std::uint32_t>() : std::nullopt;
+      const std::optional<std::uint32_t> count =
+          is_pair ? pair.as_array()[1].as_integer<std::uint32_t>() : std::nullopt;
+      if (!app.has_value() || !count.has_value()) {
+        return fail("count entries must be [app, count] pairs of 32-bit integers");
       }
-      partial.counts.emplace_back(static_cast<std::uint32_t>(pair.as_array()[0].as_u64()),
-                                  static_cast<std::uint32_t>(pair.as_array()[1].as_u64()));
+      partial.counts.emplace_back(*app, *count);
     }
   }
   return partial;
@@ -339,11 +347,7 @@ Json query_result_json(const query::QueryResult& result, market::Day day) {
   JsonObject document;
   document.emplace_back("kind", Json(query::to_string(result.kind)));
   document.emplace_back("day", Json(static_cast<std::int64_t>(day)));
-  document.emplace_back(
-      "plan", json_object({{"index_scans", static_cast<std::uint64_t>(result.index_scans)},
-                           {"column_scans", static_cast<std::uint64_t>(result.column_scans)},
-                           {"residual_filters",
-                            static_cast<std::uint64_t>(result.residual_filters)}}));
+  add_plan(document, result);
   document.emplace_back("rows_total", Json(result.rows_total));
   document.emplace_back("rows_selected", Json(result.rows_selected));
 

@@ -1,7 +1,5 @@
 #include "fed/shard.hpp"
 
-#include <cmath>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -43,15 +41,14 @@ template <class T>
   } else if constexpr (std::is_same_v<T, bool>) {
     if (value == nullptr || !value->is_bool()) return false;
     out = value->as_bool();
+  } else if constexpr (std::is_integral_v<T>) {
+    const std::optional<T> number =
+        value == nullptr ? std::nullopt : value->as_integer<T>();
+    if (!number.has_value()) return false;
+    out = *number;
   } else {
     if (value == nullptr || !value->is_number()) return false;
-    const double number = value->as_number();
-    if constexpr (std::is_integral_v<T>) {
-      const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
-      const double low = std::numeric_limits<T>::is_signed ? -bound : 0.0;
-      if (!(number >= low && number < bound) || number != std::floor(number)) return false;
-    }
-    out = static_cast<T>(number);
+    out = value->as_number();
   }
   return true;
 }

@@ -49,10 +49,11 @@ void AdmissionController::publish_limit(std::size_t next) noexcept {
 }
 
 AdmissionDecision AdmissionController::admit(std::size_t queue_depth) {
-  maybe_roll(chaos::now_or_real(options_.clock));
+  // kFixed never adapts: no clock read, no interval to roll.
+  const bool adaptive = options_.mode != AdmissionMode::kFixed;
+  if (adaptive) maybe_roll(chaos::now_or_real(options_.clock));
   if (queue_depth >= options_.limit_ceiling) return AdmissionDecision::kQueueFull;
-  if (options_.mode != AdmissionMode::kFixed &&
-      queue_depth >= limit_.load(std::memory_order_relaxed)) {
+  if (adaptive && queue_depth >= limit_.load(std::memory_order_relaxed)) {
     sheds_.fetch_add(1, std::memory_order_relaxed);
     if (shed_counter_ != nullptr) shed_counter_->inc();
     return AdmissionDecision::kOverload;
@@ -66,6 +67,8 @@ void AdmissionController::observe(std::chrono::nanoseconds queue_wait) {
   // delays smoothing by one sample.
   const std::int64_t ewma = ewma_wait_ns_.load(std::memory_order_relaxed);
   ewma_wait_ns_.store(ewma + (wait_ns - ewma) / 8, std::memory_order_relaxed);
+  // Only an adaptive mode's interval roll reads the accumulators.
+  if (options_.mode == AdmissionMode::kFixed) return;
   {
     const std::lock_guard lock(mutex_);
     if (interval_min_ns_ < 0 || wait_ns < interval_min_ns_) interval_min_ns_ = wait_ns;
@@ -76,7 +79,6 @@ void AdmissionController::observe(std::chrono::nanoseconds queue_wait) {
 }
 
 void AdmissionController::maybe_roll(std::chrono::steady_clock::time_point now) {
-  if (options_.mode == AdmissionMode::kFixed) return;
   const std::int64_t now_ns = to_ns(now);
   std::int64_t deadline = deadline_ns_.load(std::memory_order_relaxed);
   if (now_ns < deadline) return;
@@ -138,7 +140,7 @@ void AdmissionController::apply_update(std::int64_t min_wait_ns, std::int64_t su
       break;
     }
     case AdmissionMode::kFixed:
-      break;  // unreachable: maybe_roll returns early for kFixed
+      break;  // unreachable: kFixed never rolls an interval
   }
 }
 

@@ -31,7 +31,8 @@
 // dispatcher and every worker. The hot path is lock-free (atomic limit +
 // deadline check); interval statistics take a small mutex only to fold a
 // sample in, and interval rolls happen under that same mutex at most once
-// per interval.
+// per interval. kFixed keeps only the Retry-After EWMA: it reads no clock
+// and takes no lock.
 //
 // Determinism: all time flows through an optional chaos::Clock, so the
 // property suite (gameday_test) replays thousands of seeded load shapes on a

@@ -11,7 +11,7 @@
 #include "affinity/metric.hpp"
 #include "affinity/strings.hpp"
 #include "obs/trace.hpp"
-#include "par/parallel.hpp"
+#include "query/download_table.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/pareto.hpp"
 #include "util/format.hpp"
@@ -139,6 +139,9 @@ QueryEngine::QueryEngine(const market::AppStore& store, QueryOptions options,
     registry->describe("query_requests_total", "Queries served, by aggregate kind.");
     registry->describe("query_plan_total",
                        "Filter clauses planned, by scan strategy.");
+    registry->describe("query_rows_scanned_total",
+                       "Event rows read by scans, residual filters, index scans and "
+                       "download-table builds.");
     registry->describe("query_latency_seconds",
                        "End-to-end query engine latency, by aggregate kind.");
     requests_by_kind_.resize(kAggregateKindCount);
@@ -150,6 +153,8 @@ QueryEngine::QueryEngine(const market::AppStore& store, QueryOptions options,
     plan_index_scans_ = &registry->counter("query_plan_total", "index_scan");
     plan_column_scans_ = &registry->counter("query_plan_total", "column_scan");
     plan_residual_filters_ = &registry->counter("query_plan_total", "residual");
+    plan_table_lookups_ = &registry->counter("query_plan_total", "table_lookup");
+    rows_scanned_ = &registry->counter("query_rows_scanned_total");
   }
 }
 
@@ -185,47 +190,36 @@ Expr QueryEngine::resolve(const Expr& expr) const {
   return out;
 }
 
+struct QueryEngine::Selection {
+  std::uint32_t index_scans = 0;
+  std::uint32_t column_scans = 0;
+  std::uint32_t residual_filters = 0;
+  std::uint32_t table_lookups = 0;
+  std::uint64_t rows_total = 0;
+  std::vector<std::uint64_t> counts;        ///< download kinds: dense, day-bounded
+  std::vector<AffinityUserSample> samples;  ///< category_affinity
+  std::uint64_t rows_selected = 0;          ///< category_affinity
+};
+
 QueryResult QueryEngine::run(const QuerySpec& spec, market::Day day) const {
   validate(spec, options_);
   const auto kind_index = static_cast<std::size_t>(spec.kind);
   if (!requests_by_kind_.empty()) requests_by_kind_[kind_index]->inc();
   obs::ScopedTimer timer(latency_by_kind_.empty() ? nullptr : latency_by_kind_[kind_index]);
 
-  // One frontier snapshot per run: the plan, the scans, and the aggregation
-  // all read the same published prefix, so a concurrently ingesting crawler
-  // never tears a result.
-  const bool wants_comments = spec.kind == AggregateKind::kCategoryAffinity;
-  const events::FrontierSnapshot log =
-      wants_comments ? store_->comment_log() : store_->download_log();
-  const BoundLog bound = bind(log);
-
-  PlanOptions plan_options;
-  plan_options.allow_index_scan = options_.allow_index_scan;
-  plan_options.index_user_fraction = options_.index_user_fraction;
-  plan_options.scan_block = options_.scan_block;
-  plan_options.threads = options_.threads;
-
-  const Plan plan = spec.filter.has_value()
-                        ? plan_filter(resolve(*spec.filter), bound, plan_options)
-                        : plan_all();
-  if (plan_index_scans_ != nullptr) {
-    plan_index_scans_->inc(plan.index_scans);
-    plan_column_scans_->inc(plan.column_scans);
-    plan_residual_filters_->inc(plan.residual_filters);
-  }
-
-  const RowSet rows = execute(plan, bound, plan_options);
-
+  const Selection selection = select(spec, day);
   QueryResult result;
   result.kind = spec.kind;
-  result.index_scans = plan.index_scans;
-  result.column_scans = plan.column_scans;
-  result.residual_filters = plan.residual_filters;
-  result.rows_total = log.size();
-  if (wants_comments) {
-    aggregate_affinity(log, rows, spec, day, result);
+  result.index_scans = selection.index_scans;
+  result.column_scans = selection.column_scans;
+  result.residual_filters = selection.residual_filters;
+  result.table_lookups = selection.table_lookups;
+  result.rows_total = selection.rows_total;
+  if (spec.kind == AggregateKind::kCategoryAffinity) {
+    result.rows_selected = selection.rows_selected;
+    finalize_affinity(spec, selection.samples, random_walk(spec.depths), result);
   } else {
-    aggregate_downloads(log, rows, spec, day, result);
+    finalize_downloads(spec, selection.counts, result);
   }
   return result;
 }
@@ -236,6 +230,39 @@ PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day
   if (!requests_by_kind_.empty()) requests_by_kind_[kind_index]->inc();
   obs::ScopedTimer timer(latency_by_kind_.empty() ? nullptr : latency_by_kind_[kind_index]);
 
+  Selection selection = select(spec, day);
+  PartialAggregate partial;
+  partial.kind = spec.kind;
+  partial.day = day;
+  partial.index_scans = selection.index_scans;
+  partial.column_scans = selection.column_scans;
+  partial.residual_filters = selection.residual_filters;
+  partial.table_lookups = selection.table_lookups;
+  partial.rows_total = selection.rows_total;
+  if (spec.kind == AggregateKind::kCategoryAffinity) {
+    partial.rows_selected = selection.rows_selected;
+    partial.samples = std::move(selection.samples);
+    partial.random_walk = random_walk(spec.depths);
+    return partial;
+  }
+  const std::vector<std::uint64_t>& counts = selection.counts;
+  partial.app_count = counts.size();
+  // Exactly sized: a cached fragment holds no spare capacity.
+  partial.counts.reserve(static_cast<std::size_t>(
+      std::count_if(counts.begin(), counts.end(), [](std::uint64_t c) { return c > 0; })));
+  for (std::size_t app = 0; app < counts.size(); ++app) {
+    if (counts[app] == 0) continue;
+    partial.counts.emplace_back(static_cast<std::uint32_t>(app),
+                                static_cast<std::uint32_t>(counts[app]));
+    partial.rows_selected += counts[app];
+  }
+  return partial;
+}
+
+QueryEngine::Selection QueryEngine::select(const QuerySpec& spec, market::Day day) const {
+  // One frontier snapshot per query: the plan, the scans or the table, and
+  // the aggregation all read the same published prefix, so a concurrently
+  // ingesting crawler never tears a result.
   const bool wants_comments = spec.kind == AggregateKind::kCategoryAffinity;
   const events::FrontierSnapshot log =
       wants_comments ? store_->comment_log() : store_->download_log();
@@ -250,41 +277,56 @@ PartialAggregate QueryEngine::run_partial(const QuerySpec& spec, market::Day day
   const Plan plan = spec.filter.has_value()
                         ? plan_filter(resolve(*spec.filter), bound, plan_options)
                         : plan_all();
-  if (plan_index_scans_ != nullptr) {
-    plan_index_scans_->inc(plan.index_scans);
-    plan_column_scans_->inc(plan.column_scans);
-    plan_residual_filters_->inc(plan.residual_filters);
-  }
 
-  const RowSet rows = execute(plan, bound, plan_options);
-
-  PartialAggregate partial;
-  partial.kind = spec.kind;
-  partial.day = day;
-  partial.index_scans = plan.index_scans;
-  partial.column_scans = plan.column_scans;
-  partial.residual_filters = plan.residual_filters;
-  partial.rows_total = log.size();
-  if (wants_comments) {
-    partial.samples = collect_affinity_samples(log, rows, spec, day, partial.rows_selected);
-    partial.random_walk.reserve(spec.depths.size());
-    for (const std::size_t depth : spec.depths) {
-      partial.random_walk.push_back(affinity::random_walk_affinity(category_sizes_, depth));
-    }
+  Selection selection;
+  selection.rows_total = log.size();
+  std::uint64_t scanned = 0;
+  const std::optional<TableFilter> filter =
+      wants_comments ? std::nullopt : table_filter(plan);
+  const std::shared_ptr<const DownloadTable> table =
+      filter.has_value() ? download_table(log) : nullptr;
+  if (table != nullptr) {
+    // Every leaf is a day range or a field of the app: the downloads of each
+    // passing app on the allowed days, read from the table without a row.
+    const std::size_t app_count = store_->apps().size();
+    selection.table_lookups = filter->leaves;
+    selection.counts.assign(app_count, 0);
+    table->count(filter->day_lo, std::min<std::int64_t>(filter->day_hi, day),
+                 select_apps(filter->app_clauses, bound, app_count), selection.counts);
   } else {
-    const std::vector<std::uint64_t> counts = count_downloads(log, rows, day);
-    partial.app_count = counts.size();
-    // Exactly sized: a cached fragment holds no spare capacity.
-    partial.counts.reserve(static_cast<std::size_t>(
-        std::count_if(counts.begin(), counts.end(), [](std::uint64_t c) { return c > 0; })));
-    for (std::size_t app = 0; app < counts.size(); ++app) {
-      if (counts[app] == 0) continue;
-      partial.counts.emplace_back(static_cast<std::uint32_t>(app),
-                                  static_cast<std::uint32_t>(counts[app]));
-      partial.rows_selected += counts[app];
+    selection.index_scans = plan.index_scans;
+    selection.column_scans = plan.column_scans;
+    selection.residual_filters = plan.residual_filters;
+    const RowSet rows = execute(plan, bound, plan_options);
+    scanned = rows.scanned;
+    if (wants_comments) {
+      selection.samples =
+          collect_affinity_samples(log, rows, spec, day, selection.rows_selected);
+    } else {
+      selection.counts = count_downloads(log, rows, day);
     }
   }
-  return partial;
+  if (plan_index_scans_ != nullptr) {
+    plan_index_scans_->inc(selection.index_scans);
+    plan_column_scans_->inc(selection.column_scans);
+    plan_residual_filters_->inc(selection.residual_filters);
+    plan_table_lookups_->inc(selection.table_lookups);
+    rows_scanned_->inc(scanned);
+  }
+  return selection;
+}
+
+std::shared_ptr<const DownloadTable> QueryEngine::download_table(
+    const events::FrontierSnapshot& log) const {
+  const std::lock_guard lock(table_mutex_);
+  // A caller holding an older snapshot scans rather than replace the newer
+  // table; one at the held frontier reuses it (or its refusal).
+  if (table_ != nullptr && table_->newer_than(log)) return nullptr;
+  if (table_ == nullptr || !table_->counted(log)) {
+    table_ = DownloadTable::build(log, store_->apps().size());
+    if (rows_scanned_ != nullptr && table_->fits()) rows_scanned_->inc(log.size());
+  }
+  return table_->fits() ? table_ : nullptr;
 }
 
 std::vector<std::uint64_t> QueryEngine::count_downloads(const events::FrontierSnapshot& log,
@@ -292,47 +334,16 @@ std::vector<std::uint64_t> QueryEngine::count_downloads(const events::FrontierSn
                                                         market::Day day) const {
   const std::span<const std::uint32_t> apps = log.app();
   const std::span<const std::int32_t> days = log.day();
-  const std::size_t app_count = store_->apps().size();
-
-  // Per-app download counts within the day bound. The all-rows path reduces
-  // over fixed-size blocks; per-app integer adds are exact and elementwise,
-  // so the counts are identical at every thread count.
-  std::vector<std::uint64_t> counts;
+  std::vector<std::uint64_t> counts(store_->apps().size(), 0);
+  const auto count = [&](std::uint64_t row) {
+    if (row_day(days, row) <= day) ++counts[apps[row]];
+  };
   if (rows.all) {
-    const std::uint64_t total = log.size();
-    const std::uint64_t block = std::max<std::uint64_t>(1, options_.scan_block);
-    const std::uint64_t blocks = total == 0 ? 0 : (total + block - 1) / block;
-    par::Options par_options;
-    par_options.threads = options_.threads;
-    counts = par::parallel_reduce<std::vector<std::uint64_t>>(
-        blocks, std::vector<std::uint64_t>(app_count, 0), par_options,
-        [&](std::uint64_t b) {
-          std::vector<std::uint64_t> partial(app_count, 0);
-          const std::uint64_t begin = b * block;
-          const std::uint64_t end = std::min(total, begin + block);
-          for (std::uint64_t i = begin; i < end; ++i) {
-            if (row_day(days, i) <= day) ++partial[apps[i]];
-          }
-          return partial;
-        },
-        [](std::vector<std::uint64_t> acc, const std::vector<std::uint64_t>& part) {
-          for (std::size_t i = 0; i < part.size(); ++i) acc[i] += part[i];
-          return acc;
-        });
-    if (counts.empty()) counts.assign(app_count, 0);
+    for (std::uint64_t row = 0; row < log.size(); ++row) count(row);
   } else {
-    counts.assign(app_count, 0);
-    for (const std::uint32_t row : rows.rows) {
-      if (row_day(days, row) <= day) ++counts[apps[row]];
-    }
+    for (const std::uint32_t row : rows.rows) count(row);
   }
   return counts;
-}
-
-void QueryEngine::aggregate_downloads(const events::FrontierSnapshot& log,
-                                      const RowSet& rows, const QuerySpec& spec,
-                                      market::Day day, QueryResult& result) const {
-  finalize_downloads(spec, count_downloads(log, rows, day), result);
 }
 
 void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> counts,
@@ -384,7 +395,7 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
       break;
     }
     case AggregateKind::kCategoryAffinity:
-      break;  // handled by aggregate_affinity
+      break;  // finalized by finalize_affinity
   }
 }
 
@@ -462,17 +473,13 @@ std::vector<AffinityUserSample> QueryEngine::collect_affinity_samples(
   return samples;
 }
 
-void QueryEngine::aggregate_affinity(const events::FrontierSnapshot& log,
-                                     const RowSet& rows, const QuerySpec& spec,
-                                     market::Day day, QueryResult& result) const {
-  const std::vector<AffinityUserSample> samples =
-      collect_affinity_samples(log, rows, spec, day, result.rows_selected);
-  std::vector<double> random_walk;
-  random_walk.reserve(spec.depths.size());
-  for (const std::size_t depth : spec.depths) {
-    random_walk.push_back(affinity::random_walk_affinity(category_sizes_, depth));
+std::vector<double> QueryEngine::random_walk(std::span<const std::size_t> depths) const {
+  std::vector<double> baseline;
+  baseline.reserve(depths.size());
+  for (const std::size_t depth : depths) {
+    baseline.push_back(affinity::random_walk_affinity(category_sizes_, depth));
   }
-  finalize_affinity(spec, samples, random_walk, result);
+  return baseline;
 }
 
 void finalize_affinity(const QuerySpec& spec, const std::vector<AffinityUserSample>& samples,

@@ -15,11 +15,17 @@
 // log for affinity — executes it, and aggregates the selected rows up to the
 // caller's day bound. The day bound is applied at aggregation time rather
 // than planned as a clause so the plan's scan counters reflect only the
-// user's filter. Results are a pure function of (store contents, spec, day):
-// thread count changes wall time only. See docs/query.md.
+// user's filter. A download aggregate whose plan is kAll or an `and` of day
+// ranges and app-level clauses reads no rows: the engine answers it from a
+// per-app daily download table built once per download-log frontier (see
+// query/download_table.hpp). Results are a pure function of (store
+// contents, spec, day): thread count and the table change wall time only.
+// See docs/query.md.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -125,6 +131,7 @@ struct PartialAggregate {
   std::uint32_t index_scans = 0;
   std::uint32_t column_scans = 0;
   std::uint32_t residual_filters = 0;
+  std::uint32_t table_lookups = 0;
   std::uint64_t rows_total = 0;
   std::uint64_t rows_selected = 0;
 
@@ -147,6 +154,7 @@ struct QueryResult {
   std::uint32_t index_scans = 0;
   std::uint32_t column_scans = 0;
   std::uint32_t residual_filters = 0;
+  std::uint32_t table_lookups = 0;  ///< filter leaves the download table answered
   std::uint64_t rows_total = 0;     ///< rows in the scanned log
   std::uint64_t rows_selected = 0;  ///< rows passing filter + day bound
 
@@ -171,12 +179,14 @@ void finalize_downloads(const QuerySpec& spec, std::span<const std::uint64_t> co
 void finalize_affinity(const QuerySpec& spec, const std::vector<AffinityUserSample>& samples,
                        std::span<const double> random_walk, QueryResult& result);
 
+class DownloadTable;
+
 class QueryEngine {
  public:
   /// Binds `store` (must outlive the engine). When `registry` is non-null
   /// the engine registers query_requests_total{kind},
-  /// query_plan_total{index_scan,column_scan,residual} and
-  /// query_latency_seconds{kind}.
+  /// query_plan_total{index_scan,column_scan,residual,table_lookup},
+  /// query_rows_scanned_total and query_latency_seconds{kind}.
   explicit QueryEngine(const market::AppStore& store, QueryOptions options = {},
                        obs::Registry* registry = nullptr);
 
@@ -196,26 +206,32 @@ class QueryEngine {
   [[nodiscard]] const market::AppStore& store() const noexcept { return *store_; }
 
  private:
+  /// What run() and run_partial() share: plan statistics and the selection
+  /// aggregated up to the day bound, before finalization.
+  struct Selection;
+
   [[nodiscard]] BoundLog bind(const events::FrontierSnapshot& log) const noexcept;
   /// Resolves category-by-name clauses to numeric ids (case-sensitive);
   /// throws QueryError("unknown_category") for names the store lacks.
   [[nodiscard]] Expr resolve(const Expr& expr) const;
 
-  void aggregate_downloads(const events::FrontierSnapshot& log, const RowSet& rows,
-                           const QuerySpec& spec, market::Day day,
-                           QueryResult& result) const;
-  void aggregate_affinity(const events::FrontierSnapshot& log, const RowSet& rows,
-                          const QuerySpec& spec, market::Day day,
-                          QueryResult& result) const;
+  /// Plans the spec over one frontier snapshot and answers it from the
+  /// download table when the plan allows, else by executing the plan.
+  [[nodiscard]] Selection select(const QuerySpec& spec, market::Day day) const;
+  /// The table for `log`'s frontier, built on first use; null when the
+  /// frontier fails the table's size rule or is older than the table held.
+  [[nodiscard]] std::shared_ptr<const DownloadTable> download_table(
+      const events::FrontierSnapshot& log) const;
 
-  /// Per-app download counts (dense, day-bounded) — the shared core of the
-  /// download aggregates and their partial form.
+  /// Per-app download counts (dense, day-bounded) of the selected rows.
   [[nodiscard]] std::vector<std::uint64_t> count_downloads(
       const events::FrontierSnapshot& log, const RowSet& rows, market::Day day) const;
   /// Per-user affinity samples in ascending user order; sets rows_selected.
   [[nodiscard]] std::vector<AffinityUserSample> collect_affinity_samples(
       const events::FrontierSnapshot& log, const RowSet& rows, const QuerySpec& spec,
       market::Day day, std::uint64_t& rows_selected) const;
+  /// The store-wide random-walk baseline at each depth.
+  [[nodiscard]] std::vector<double> random_walk(std::span<const std::size_t> depths) const;
 
   const market::AppStore* store_;
   QueryOptions options_;
@@ -226,12 +242,20 @@ class QueryEngine {
   std::vector<double> app_price_;
   std::vector<std::uint64_t> category_sizes_;
 
+  // The download table of the newest download-log frontier an eligible
+  // query met. Built under the mutex, so callers at that frontier wait for
+  // the one build and then share it.
+  mutable std::mutex table_mutex_;
+  mutable std::shared_ptr<const DownloadTable> table_;
+
   // Metric families; null when no registry was supplied.
   std::vector<obs::Counter*> requests_by_kind_;
   std::vector<obs::Histogram*> latency_by_kind_;
   obs::Counter* plan_index_scans_ = nullptr;
   obs::Counter* plan_column_scans_ = nullptr;
   obs::Counter* plan_residual_filters_ = nullptr;
+  obs::Counter* plan_table_lookups_ = nullptr;
+  obs::Counter* rows_scanned_ = nullptr;
 };
 
 }  // namespace appstore::query

@@ -46,6 +46,7 @@ QueryResult merge_partials(const QuerySpec& spec,
     result.index_scans += partial->index_scans;
     result.column_scans += partial->column_scans;
     result.residual_filters += partial->residual_filters;
+    result.table_lookups += partial->table_lookups;
     result.rows_total += partial->rows_total;
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <numeric>
 
 #include "par/parallel.hpp"
 #include "util/format.hpp"
@@ -78,6 +79,31 @@ class CompiledClause {
                                         std::uint32_t* out) const {
     const std::uint32_t* ids = rows.data();
     return select(rows.size(), [ids](std::size_t i) { return ids[i]; }, out);
+  }
+
+  /// Keeps the ids of `apps` whose own category, price or id matches, in
+  /// order, at the front of `out` (which may be apps.data()); returns how
+  /// many matched. Fields of the row rather than the app select nothing.
+  [[nodiscard]] std::size_t select_apps(std::span<const std::uint32_t> apps,
+                                        std::uint32_t* out) const {
+    const std::uint32_t* ids = apps.data();
+    const auto run = [&](auto value_at) {
+      return keep_matches(
+          clause_.op, apps.size(), [ids](std::size_t i) { return ids[i]; }, value_at,
+          clause_.number, out);
+    };
+    switch (clause_.field) {
+      case Field::kApp:
+        return run([](std::uint32_t app) { return static_cast<double>(app); });
+      case Field::kCategory:
+        return run([category = app_category_](std::uint32_t app) {
+          return static_cast<double>(category[app]);
+        });
+      case Field::kPrice:
+        return run([price = app_price_](std::uint32_t app) { return price[app]; });
+      default:
+        return 0;
+    }
   }
 
  private:
@@ -265,6 +291,7 @@ void count_scans(const PlanNode& node, Plan& plan) {
     }
   }
   std::sort(result.rows.begin(), result.rows.end());
+  result.scanned = result.rows.size();
   return result;
 }
 
@@ -273,6 +300,7 @@ void count_scans(const PlanNode& node, Plan& plan) {
   RowSet result;
   const std::uint64_t rows = bound.log.size();
   if (rows == 0) return result;
+  result.scanned = rows;
   const CompiledClause clause(node.clause, bound);
   const std::uint64_t block = std::max<std::uint64_t>(1, options.scan_block);
   const std::uint64_t blocks = (rows + block - 1) / block;
@@ -310,22 +338,25 @@ void count_scans(const PlanNode& node, Plan& plan) {
   // test only the candidates.
   RowSet current;
   current.all = true;
+  std::uint64_t scanned = 0;
   for (const PlanNode& child : node.children) {
     if (child.kind == NodeKind::kResidual) continue;
     RowSet next = run_node(child, bound, options);
+    scanned += next.scanned;
     if (current.all) {
       current = std::move(next);
     } else if (!next.all) {
       current.rows = intersect_sorted(current.rows, next.rows);
     }
-    if (!current.all && current.rows.empty()) return current;
+    if (!current.all && current.rows.empty()) break;
   }
   for (const PlanNode& child : node.children) {
-    if (child.kind != NodeKind::kResidual) continue;
+    if (child.kind != NodeKind::kResidual || current.rows.empty()) continue;
     const CompiledClause clause(child.clause, bound);
+    scanned += current.rows.size();
     current.rows.resize(clause.select_rows(current.rows, current.rows.data()));
-    if (current.rows.empty()) break;
   }
+  current.scanned = scanned;
   return current;
 }
 
@@ -349,13 +380,56 @@ RowSet run_node(const PlanNode& node, const BoundLog& bound, const PlanOptions& 
       RowSet result;
       for (const PlanNode& child : node.children) {
         RowSet next = run_node(child, bound, options);
-        if (next.all) return next;
+        result.scanned += next.scanned;
+        if (next.all) {
+          next.scanned = result.scanned;
+          return next;
+        }
         result.rows = union_sorted(result.rows, next.rows);
       }
       return result;
     }
   }
   return RowSet{};
+}
+
+/// True for a leaf a download table answers: a day range or equality, or a
+/// field of the row's app.
+[[nodiscard]] bool table_leaf(const PlanNode& node) {
+  if (node.kind != NodeKind::kColumnScan && node.kind != NodeKind::kResidual) return false;
+  switch (node.clause.field) {
+    case Field::kDay: return node.clause.op != CompareOp::kNe;
+    case Field::kApp:
+    case Field::kCategory:
+    case Field::kPrice: return true;
+    default: return false;
+  }
+}
+
+/// Narrows the inclusive interval [lo, hi] to the integer days for which
+/// `static_cast<double>(day) <op> clause.number` holds.
+void narrow_days(const Comparison& clause, std::int64_t& lo, std::int64_t& hi) {
+  if (std::isnan(clause.number)) {
+    lo = 1;
+    hi = 0;
+    return;
+  }
+  // Days are 32-bit, so clamping the literal far outside their range first
+  // changes no outcome and keeps the integer arithmetic exact.
+  const double number = std::clamp(clause.number, -1e12, 1e12);
+  const auto floored = static_cast<std::int64_t>(std::floor(number));
+  const auto ceiled = static_cast<std::int64_t>(std::ceil(number));
+  switch (clause.op) {
+    case CompareOp::kLt: hi = std::min(hi, ceiled - 1); break;
+    case CompareOp::kLe: hi = std::min(hi, floored); break;
+    case CompareOp::kGt: lo = std::max(lo, floored + 1); break;
+    case CompareOp::kGe: lo = std::max(lo, ceiled); break;
+    case CompareOp::kEq:
+      lo = std::max(lo, ceiled);
+      hi = std::min(hi, floored);  // empty for a fractional literal
+      break;
+    case CompareOp::kNe: break;  // never a table leaf
+  }
 }
 
 }  // namespace
@@ -375,6 +449,44 @@ Plan plan_all() {
 
 RowSet execute(const Plan& plan, const BoundLog& bound, const PlanOptions& options) {
   return run_node(plan.root, bound, options);
+}
+
+std::optional<TableFilter> table_filter(const Plan& plan) {
+  TableFilter filter;
+  const auto absorb = [&filter](const PlanNode& leaf) {
+    if (!table_leaf(leaf)) return false;
+    ++filter.leaves;
+    if (leaf.clause.field == Field::kDay) {
+      narrow_days(leaf.clause, filter.day_lo, filter.day_hi);
+    } else {
+      filter.app_clauses.push_back(leaf.clause);
+    }
+    return true;
+  };
+  switch (plan.root.kind) {
+    case NodeKind::kAll:
+      return filter;
+    case NodeKind::kColumnScan:
+      if (!absorb(plan.root)) return std::nullopt;
+      return filter;
+    case NodeKind::kAnd:
+      if (!std::all_of(plan.root.children.begin(), plan.root.children.end(), absorb)) {
+        return std::nullopt;
+      }
+      return filter;
+    default:
+      return std::nullopt;
+  }
+}
+
+std::vector<std::uint32_t> select_apps(std::span<const Comparison> clauses,
+                                       const BoundLog& bound, std::size_t app_count) {
+  std::vector<std::uint32_t> apps(app_count);
+  std::iota(apps.begin(), apps.end(), 0u);
+  for (const Comparison& clause : clauses) {
+    apps.resize(CompiledClause(clause, bound).select_apps(apps, apps.data()));
+  }
+  return apps;
 }
 
 std::vector<std::uint32_t> intersect_sorted(const std::vector<std::uint32_t>& a,

@@ -23,9 +23,15 @@
 // Clause results are sorted row-id sets combined with sorted-set operations
 // (intersection for `and`, union for `or`). The planner also simplifies
 // around kAll/kNone so a tautological clause costs nothing at execution.
+//
+// A fourth strategy reads no rows at all: table_filter() recognizes the
+// plans a per-app daily download table answers (an `and` of day ranges and
+// app-level clauses), and select_apps() evaluates their app-level clauses
+// once per app instead of once per row (see query/download_table.hpp).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -97,6 +103,9 @@ struct Plan {
 struct RowSet {
   bool all = false;
   std::vector<std::uint32_t> rows;
+  /// Rows the execution read: every row a column scan tested, every
+  /// candidate a residual filter tested, every row an index scan emitted.
+  std::uint64_t scanned = 0;
 
   [[nodiscard]] std::uint64_t count(std::uint64_t total) const noexcept {
     return all ? total : rows.size();
@@ -116,6 +125,30 @@ struct RowSet {
 /// options.threads changes wall time only.
 [[nodiscard]] RowSet execute(const Plan& plan, const BoundLog& bound,
                              const PlanOptions& options);
+
+/// A plan in the form a per-app daily download table answers: a lone
+/// column-scan leaf, or an `and` of column-scan and residual leaves, where
+/// every leaf tests the day with <, <=, >, >= or ==, or a field of the row's
+/// app (category, price, app). The day leaves intersect into one inclusive
+/// integer interval; the app leaves are kept for select_apps.
+struct TableFilter {
+  std::int64_t day_lo = std::numeric_limits<std::int64_t>::min();
+  std::int64_t day_hi = std::numeric_limits<std::int64_t>::max();
+  std::vector<Comparison> app_clauses;
+  std::uint32_t leaves = 0;  ///< day and app leaves the table answers
+};
+
+/// The table form of `plan`: an empty filter for kAll, nullopt for any plan
+/// that must read rows (index scans, `or`, nested sub-trees, `day != D`,
+/// user clauses, kNone).
+[[nodiscard]] std::optional<TableFilter> table_filter(const Plan& plan);
+
+/// The ids in [0, app_count) of the apps that pass every clause, ascending.
+/// Each clause is an app-level one (category, price, app) and is tested with
+/// the same comparison a column scan makes for each row of that app.
+[[nodiscard]] std::vector<std::uint32_t> select_apps(std::span<const Comparison> clauses,
+                                                     const BoundLog& bound,
+                                                     std::size_t app_count);
 
 /// Sorted-set combination helpers (exposed for tests).
 [[nodiscard]] std::vector<std::uint32_t> intersect_sorted(

@@ -283,12 +283,13 @@ TEST_F(ServiceFixture, MetaAndAppEndpoints) {
   const auto meta_json = parse_json(meta_response.body);
   ASSERT_TRUE(meta_json.has_value());
   EXPECT_EQ(meta_json->at("store").as_string(), "Anzhi");
-  EXPECT_EQ(meta_json->at("total_apps").as_u64(), generated_->store->apps().size());
+  EXPECT_EQ(meta_json->at("total_apps").as_integer<std::uint64_t>().value(),
+            generated_->store->apps().size());
 
   const auto app_response = client.get("/api/v1/app/0", headers);
   ASSERT_EQ(app_response.status, 200);
   const auto app_json = parse_json(app_response.body);
-  EXPECT_EQ(app_json->at("downloads").as_u64(),
+  EXPECT_EQ(app_json->at("downloads").as_integer<std::uint64_t>().value(),
             generated_->store->downloads_of(market::AppId{0}));
   EXPECT_FALSE(app_json->at("paid").as_bool());
 }
@@ -330,28 +331,33 @@ TEST_F(ServiceFixture, PagesWhoseFirstRowOverflowsAreEmpty) {
     return *parse_json(response.body);
   };
 
-  const std::uint64_t apps = answer("/api/v1/apps?page=1000").at("total").as_u64();
+  const std::uint64_t apps =
+      answer("/api/v1/apps?page=1000").at("total").as_integer<std::uint64_t>().value();
   ASSERT_GT(apps, 84u);  // 184467440737095517 * 100 wraps to row 84
   for (const std::string target : {"/api/v1/apps?page=184467440737095517&per_page=100",
                                    "/api/v1/apps?page=9223372036854775808&per_page=50",
                                    "/api/v1/apps?page=18446744073709551615&per_page=500"}) {
     const Json page = answer(target);
     EXPECT_TRUE(page.at("ids").as_array().empty()) << target << " " << page.dump();
-    EXPECT_EQ(page.at("total").as_u64(), apps) << target;
+    EXPECT_EQ(page.at("total").as_integer<std::uint64_t>().value(), apps) << target;
   }
 
   // 2^61 * 200 wraps to row 0: the first page's rows at the parent.
   std::uint64_t id = 0;
   std::uint64_t total = 0;
   for (; id < generated_->store->apps().size(); ++id) {
-    total = answer(util::format("/api/v1/app/{}/comments", id)).at("total").as_u64();
+    total =
+        answer(util::format("/api/v1/app/{}/comments", id))
+            .at("total")
+            .as_integer<std::uint64_t>()
+            .value();
     if (total > 0) break;
   }
   ASSERT_GT(total, 0u) << "no commented app";
   for (const std::string page : {"2305843009213693952", "18446744073709551615"}) {
     const Json comments = answer(util::format("/api/v1/app/{}/comments?page={}", id, page));
     EXPECT_TRUE(comments.at("comments").as_array().empty()) << page << " " << comments.dump();
-    EXPECT_EQ(comments.at("total").as_u64(), total) << page;
+    EXPECT_EQ(comments.at("total").as_integer<std::uint64_t>().value(), total) << page;
   }
 }
 
@@ -407,7 +413,10 @@ TEST_F(ServiceFixture, DayGatesVisibility) {
   headers["X-Client-Id"] = "proxy-eu-1";
 
   const auto field = [&](const char* target, const char* name) {
-    return parse_json(client.get(target, headers).body)->at(name).as_u64();
+    return parse_json(client.get(target, headers).body)
+        ->at(name)
+        .as_integer<std::uint64_t>()
+        .value();
   };
 
   service.set_day(0);
@@ -526,7 +535,7 @@ TEST_F(ServiceFixture, MetricsEndpointMatchesCrawlerTallies) {
                                 std::string_view label) -> std::uint64_t {
     for (const auto& counter : parsed->at("counters").as_array()) {
       if (counter.at("name").as_string() == name && counter.at("label").as_string() == label) {
-        return counter.at("value").as_u64();
+        return counter.at("value").as_integer<std::uint64_t>().value();
       }
     }
     return 0;
@@ -539,7 +548,7 @@ TEST_F(ServiceFixture, MetricsEndpointMatchesCrawlerTallies) {
   for (const auto& counter : parsed->at("counters").as_array()) {
     if (counter.at("name").as_string() == "service_requests_total" &&
         counter.at("label").as_string() != "metrics") {
-      service_requests += counter.at("value").as_u64();
+      service_requests += counter.at("value").as_integer<std::uint64_t>().value();
     }
   }
   EXPECT_EQ(service_requests, stats.requests);
@@ -557,7 +566,7 @@ TEST_F(ServiceFixture, MetricsEndpointMatchesCrawlerTallies) {
     if (histogram.at("name").as_string() == "service_request_seconds" &&
         histogram.at("label").as_string() == "app") {
       found_latency = true;
-      EXPECT_GT(histogram.at("count").as_u64(), 0u);
+      EXPECT_GT(histogram.at("count").as_integer<std::uint64_t>().value(), 0u);
       EXPECT_GT(histogram.at("p50").as_number(), 0.0);
       EXPECT_GE(histogram.at("p99").as_number(), histogram.at("p50").as_number());
     }

@@ -492,8 +492,8 @@ TEST_F(FederationParity, ParetoSharesBitExactAndInsideFig2Golden) {
       ASSERT_NE(golden, fig2.end());
       EXPECT_NEAR(got[p].at("share").as_number(), golden->second, 0.015);
     }
-    EXPECT_EQ(merged.at("total_downloads").as_u64(),
-              expected.at("total_downloads").as_u64());
+    EXPECT_EQ(merged.at("total_downloads").as_integer<std::uint64_t>().value(),
+              expected.at("total_downloads").as_integer<std::uint64_t>().value());
   }
 }
 
@@ -525,7 +525,7 @@ TEST_F(FederationParity, AffinityBitExactAndInsideFig6Golden) {
     // The default-spec answer is the one fig6_affinity.csv pins.
     for (const auto& point : expected.at("affinity").as_array()) {
       const std::string prefix =
-          "anzhi:depth" + std::to_string(point.at("depth").as_u64());
+          "anzhi:depth" + std::to_string(point.at("depth").as_integer<std::uint64_t>().value());
       for (const char* field : {"mean", "random_walk", "groups", "samples"}) {
         const auto golden = fig6.find(prefix + ":" + field);
         ASSERT_NE(golden, fig6.end()) << prefix << ":" << field;
@@ -540,7 +540,7 @@ TEST_F(FederationParity, AffinityBitExactAndInsideFig6Golden) {
                 .at("affinity")
                 .as_array()[0]
                 .at("groups")
-                .as_u64(),
+                .as_integer<std::uint64_t>().value(),
             0u)
       << "min_samples=1 was expected to yield real merged groups";
 }
@@ -556,16 +556,20 @@ TEST_F(FederationParity, RankCurveBitExactAndInsideFig8MeasuredGolden) {
     const auto& got = merged.at("curve").as_array();
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t p = 0; p < want.size(); ++p) {
-      EXPECT_EQ(got[p].at("rank").as_u64(), want[p].at("rank").as_u64());
-      EXPECT_EQ(got[p].at("downloads").as_u64(), want[p].at("downloads").as_u64());
+      EXPECT_EQ(got[p].at("rank").as_integer<std::uint64_t>().value(),
+                want[p].at("rank").as_integer<std::uint64_t>().value());
+      EXPECT_EQ(got[p].at("downloads").as_integer<std::uint64_t>().value(),
+                want[p].at("downloads").as_integer<std::uint64_t>().value());
       const auto golden =
-          curve_golden.find(util::format("anzhi:rank{}", got[p].at("rank").as_u64()));
+          curve_golden.find(util::format(
+              "anzhi:rank{}", got[p].at("rank").as_integer<std::uint64_t>().value()));
       ASSERT_NE(golden, curve_golden.end());
-      EXPECT_NEAR(static_cast<double>(got[p].at("downloads").as_u64()), golden->second,
+      EXPECT_NEAR(static_cast<double>(got[p].at("downloads").as_integer<std::uint64_t>().value()),
+                  golden->second,
                   1e-9);
     }
-    EXPECT_EQ(merged.at("total_downloads").as_u64(),
-              expected.at("total_downloads").as_u64());
+    EXPECT_EQ(merged.at("total_downloads").as_integer<std::uint64_t>().value(),
+              expected.at("total_downloads").as_integer<std::uint64_t>().value());
   }
 }
 
@@ -584,10 +588,11 @@ TEST_F(FederationParity, CommentsMergePreservesTotalsAndRowSet) {
       auto parsed = crawlersim::parse_json(
           fetch(util::format("{}?page={}", base, page)).body);
       if (!parsed.has_value()) ADD_FAILURE() << base;
-      total = parsed->at("total").as_u64();
+      total = parsed->at("total").as_integer<std::uint64_t>().value();
       const auto& comments = parsed->at("comments").as_array();
       for (const auto& comment : comments) {
-        rows.emplace_back(comment.at("user").as_u64(), comment.at("day").as_number(),
+        rows.emplace_back(comment.at("user").as_integer<std::uint64_t>().value(),
+                          comment.at("day").as_number(),
                           comment.at("rating").as_number());
         days.push_back(comment.at("day").as_number());
       }
@@ -600,9 +605,10 @@ TEST_F(FederationParity, CommentsMergePreservesTotalsAndRowSet) {
   const auto directory = parse_ok(single_store("/api/v1/apps?page=0"));
   std::string base;
   for (const auto& id : directory.at("ids").as_array()) {
-    const std::string candidate = util::format("/api/v1/app/{}/comments", id.as_u64());
+    const std::string candidate =
+        util::format("/api/v1/app/{}/comments", id.as_integer<std::uint64_t>().value());
     const auto probe = parse_ok(single_store(candidate + "?page=0"));
-    if (probe.at("total").as_u64() > 0) {
+    if (probe.at("total").as_integer<std::uint64_t>().value() > 0) {
       base = candidate;
       break;
     }
@@ -654,11 +660,13 @@ TEST_F(FederationParity, SingleUserQueryRoutesToOneShard) {
   const auto& got = merged.at("top").as_array();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t p = 0; p < want.size(); ++p) {
-    EXPECT_EQ(got[p].at("app").as_u64(), want[p].at("app").as_u64());
-    EXPECT_EQ(got[p].at("downloads").as_u64(), want[p].at("downloads").as_u64());
+    EXPECT_EQ(got[p].at("app").as_integer<std::uint64_t>().value(),
+              want[p].at("app").as_integer<std::uint64_t>().value());
+    EXPECT_EQ(got[p].at("downloads").as_integer<std::uint64_t>().value(),
+              want[p].at("downloads").as_integer<std::uint64_t>().value());
   }
-  EXPECT_EQ(merged.at("total_downloads").as_u64(),
-            expected.at("total_downloads").as_u64());
+  EXPECT_EQ(merged.at("total_downloads").as_integer<std::uint64_t>().value(),
+            expected.at("total_downloads").as_integer<std::uint64_t>().value());
 }
 
 TEST_F(FederationParity, HttpOnlyUpstreamsAnswerByteIdenticalBodies) {
@@ -712,7 +720,7 @@ TEST_F(FederationParity, TypedRoutesAnswerByteIdenticalBodies) {
     targets.push_back(util::format("/api/v1/app/{}/comments?page=0", id));
     targets.push_back(util::format("/api/v1/app/{}/comments?page=1", id));
     const auto comments = parse_ok(single_store(targets.back()));
-    if (comments.at("total").as_u64() > 0) ++commented;
+    if (comments.at("total").as_integer<std::uint64_t>().value() > 0) ++commented;
   }
   ASSERT_GT(commented, 0u) << "no commented app at golden scale";
 
@@ -876,6 +884,17 @@ TEST(TypedShards, GatewayRoutesThroughTheRegisteredShard) {
 TEST(TypedShards, UndecodableShardBodiesAre502) {
   for (const auto& [target, body] : std::vector<std::pair<std::string, std::string>>{
            {"/api/v1/query?kind=pareto_share", "{\"kind\": \"pareto_share\", \"partial\": true}"},
+           // Integer members outside their range, or not integers at all.
+           {"/api/v1/query?kind=pareto_share",
+            "{\"kind\":\"pareto_share\",\"partial\":true,\"rows_total\":-1,\"counts\":[]}"},
+           {"/api/v1/query?kind=pareto_share",
+            "{\"kind\":\"pareto_share\",\"partial\":true,\"day\":1e300,\"counts\":[]}"},
+           {"/api/v1/query?kind=pareto_share",
+            "{\"kind\":\"pareto_share\",\"partial\":true,\"plan\":{\"index_scans\":-7},"
+            "\"counts\":[]}"},
+           {"/api/v1/query?kind=pareto_share",
+            "{\"kind\":\"pareto_share\",\"partial\":true,\"app_count\":1,"
+            "\"counts\":[[0,1.5]]}"},
            {"/api/v1/app/1", "{\"id\": 1, \"downloads\": 3}"},
            {"/api/v1/app/1", "{\"id\":-1,\"name\":\"a\",\"category\":\"c\",\"developer\":\"d\","
                              "\"paid\":false,\"price\":0,\"downloads\":3,\"version\":1,"
@@ -1388,7 +1407,11 @@ TEST(Gateway, CommentsPagesWhoseFirstRowOverflowsAreEmpty) {
   std::uint64_t id = 0;
   std::uint64_t total = 0;
   for (; id < federation.stores.front().store->apps().size(); ++id) {
-    total = answer(util::format("/api/v1/app/{}/comments", id)).at("total").as_u64();
+    total =
+        answer(util::format("/api/v1/app/{}/comments", id))
+            .at("total")
+            .as_integer<std::uint64_t>()
+            .value();
     if (total > 0) break;
   }
   ASSERT_GT(total, 0u) << "no commented app";
@@ -1397,7 +1420,7 @@ TEST(Gateway, CommentsPagesWhoseFirstRowOverflowsAreEmpty) {
     const crawlersim::Json merged =
         answer(util::format("/api/v1/app/{}/comments?page={}", id, page));
     EXPECT_TRUE(merged.at("comments").as_array().empty()) << page << " " << merged.dump();
-    EXPECT_EQ(merged.at("total").as_u64(), total) << page;
+    EXPECT_EQ(merged.at("total").as_integer<std::uint64_t>().value(), total) << page;
   }
 }
 

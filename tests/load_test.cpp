@@ -281,13 +281,13 @@ TEST(LoadReport, JsonRoundTripsThroughParser) {
   const auto parsed = crawlersim::parse_json(to_json(comparison).dump());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_DOUBLE_EQ(parsed->at("speedup").as_number(), 5.0);
-  EXPECT_EQ(parsed->at("response_cache_hits").as_u64(), 750u);
+  EXPECT_EQ(parsed->at("response_cache_hits").as_integer<std::uint64_t>().value(), 750u);
   const auto& baseline = parsed->at("baseline_uncached");
-  EXPECT_EQ(baseline.at("totals").at("issued").as_u64(), 800u);
+  EXPECT_EQ(baseline.at("totals").at("issued").as_integer<std::uint64_t>().value(), 800u);
   const auto& breakdown = baseline.at("totals").at("shed_breakdown");
-  EXPECT_EQ(breakdown.at("accept").as_u64(), 3u);
-  EXPECT_EQ(breakdown.at("queue").as_u64(), 2u);
-  EXPECT_EQ(breakdown.at("admission").as_u64(), 80u);
+  EXPECT_EQ(breakdown.at("accept").as_integer<std::uint64_t>().value(), 3u);
+  EXPECT_EQ(breakdown.at("queue").as_integer<std::uint64_t>().value(), 2u);
+  EXPECT_EQ(breakdown.at("admission").as_integer<std::uint64_t>().value(), 80u);
   EXPECT_EQ(baseline.at("latency").as_array().size(), 1u);
   EXPECT_DOUBLE_EQ(
       baseline.at("latency").as_array()[0].at("p99_seconds").as_number(), 0.004);

@@ -259,7 +259,7 @@ TEST(Export, JsonRoundTripsThroughParser) {
   ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].at("name").as_string(), "requests_total");
   EXPECT_EQ(counters[0].at("label").as_string(), "2xx");
-  EXPECT_EQ(counters[0].at("value").as_u64(), 7u);
+  EXPECT_EQ(counters[0].at("value").as_integer<std::uint64_t>().value(), 7u);
 
   const auto& gauges = parsed->at("gauges").as_array();
   ASSERT_EQ(gauges.size(), 1u);
@@ -268,7 +268,7 @@ TEST(Export, JsonRoundTripsThroughParser) {
 
   const auto& histograms = parsed->at("histograms").as_array();
   ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_EQ(histograms[0].at("count").as_u64(), 10u);
+  EXPECT_EQ(histograms[0].at("count").as_integer<std::uint64_t>().value(), 10u);
   EXPECT_DOUBLE_EQ(histograms[0].at("min").as_number(), 1e-3);
   EXPECT_DOUBLE_EQ(histograms[0].at("max").as_number(), 1e-2);
   EXPECT_GT(histograms[0].at("p99").as_number(), 0.0);

@@ -6,14 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crawler/json.hpp"
@@ -288,6 +292,19 @@ TEST_F(PlannerFixture, AppJoinedFieldsScanColumns) {
 
 // ---- scan kernels against a brute-force evaluator --------------------------------
 
+/// `value <op> number`: the comparison the reference evaluators below make.
+[[nodiscard]] bool reference_compare(query::CompareOp op, double value, double number) {
+  switch (op) {
+    case query::CompareOp::kEq: return value == number;
+    case query::CompareOp::kNe: return value != number;
+    case query::CompareOp::kLt: return value < number;
+    case query::CompareOp::kLe: return value <= number;
+    case query::CompareOp::kGt: return value > number;
+    case query::CompareOp::kGe: return value >= number;
+  }
+  return false;
+}
+
 /// Seeded events over small id spaces, bound to per-app metadata the test
 /// owns, so every filter's selection can be recomputed row by row without
 /// the planner. One log carries days; the other has the day column disabled.
@@ -390,15 +407,7 @@ class KernelDifferential : public ::testing::Test {
       case query::Field::kCategory: value = app_category_[app]; break;
       case query::Field::kPrice: value = app_price_[app]; break;
     }
-    switch (clause.op) {
-      case query::CompareOp::kEq: return value == clause.number;
-      case query::CompareOp::kNe: return value != clause.number;
-      case query::CompareOp::kLt: return value < clause.number;
-      case query::CompareOp::kLe: return value <= clause.number;
-      case query::CompareOp::kGt: return value > clause.number;
-      case query::CompareOp::kGe: return value >= clause.number;
-    }
-    return false;
+    return reference_compare(clause.op, value, clause.number);
   }
 
   [[nodiscard]] std::vector<std::uint32_t> reference_rows(
@@ -657,15 +666,348 @@ TEST_F(EngineFixture, MetricsRecordRequestsAndPlanChoices) {
   ASSERT_NE(snapshot.find_histogram("query_latency_seconds", "top_k_downloads"), nullptr);
   EXPECT_EQ(snapshot.find_histogram("query_latency_seconds", "top_k_downloads")->count, 1u);
 
-  // A store-wide predicate scans the column instead.
+  // A store-wide day range is answered by the download table.
   query::QuerySpec wide;
   wide.kind = query::AggregateKind::kParetoShare;
   wide.filter = query::parse_filter("day <= 40");
   (void)engine.run(wide, 60);
   snapshot = registry.snapshot();
   EXPECT_EQ(snapshot.find_counter("query_plan_total", "index_scan")->value, 1u);
-  EXPECT_EQ(snapshot.find_counter("query_plan_total", "column_scan")->value, 1u);
+  EXPECT_EQ(snapshot.find_counter("query_plan_total", "column_scan")->value, 0u);
+  EXPECT_EQ(snapshot.find_counter("query_plan_total", "table_lookup")->value, 1u);
   EXPECT_EQ(snapshot.find_counter("query_requests_total", "pareto_share")->value, 1u);
+
+  // `day != D` is no interval: it scans the column.
+  wide.filter = query::parse_filter("day != 40");
+  (void)engine.run(wide, 60);
+  snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.find_counter("query_plan_total", "column_scan")->value, 1u);
+  EXPECT_EQ(snapshot.find_counter("query_plan_total", "table_lookup")->value, 1u);
+}
+
+// ---- the download table against a per-row count -----------------------------
+
+/// A hand-built store whose downloads fall on days -1..last_day, so day
+/// literals and day bounds can lie below, inside and past the log's days.
+/// Every answer is checked against a per-row count the test makes itself.
+class DownloadTableFixture : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kUsers = 60;
+  static constexpr std::uint32_t kApps = 37;
+  static constexpr std::uint32_t kCategories = 5;
+  static constexpr market::Day kFirstDay = -1;
+  static constexpr market::Day kLastDay = 19;
+  static constexpr market::Day kEnd = 1 << 20;
+
+  void SetUp() override { store_ = make_store(4000, kLastDay, 99); }
+
+  [[nodiscard]] static std::unique_ptr<market::AppStore> make_store(std::uint64_t rows,
+                                                                    market::Day last_day,
+                                                                    std::uint64_t seed) {
+    auto store = std::make_unique<market::AppStore>("Table");
+    std::vector<market::CategoryId> categories;
+    for (std::uint32_t c = 0; c < kCategories; ++c) {
+      categories.push_back(store->add_category(util::format("c{}", c)));
+    }
+    const market::DeveloperId developer = store->add_developer("dev");
+    store->add_users(kUsers);
+    std::mt19937_64 rng(seed);
+    constexpr market::Cents kPrices[] = {0, 99, 100, 199, 249, 499};
+    for (std::uint32_t app = 0; app < kApps; ++app) {
+      const market::Cents price = kPrices[rng() % std::size(kPrices)];
+      (void)store->add_app(util::format("a{}", app), developer,
+                           categories[rng() % kCategories],
+                           price == 0 ? market::Pricing::kFree : market::Pricing::kPaid, price,
+                           0);
+    }
+    for (std::uint64_t row = 0; row < rows; ++row) record(*store, rng, last_day);
+    return store;
+  }
+
+  static void record(market::AppStore& store, std::mt19937_64& rng, market::Day last_day) {
+    const auto days = static_cast<std::uint64_t>(last_day - kFirstDay + 1);
+    store.record_download(market::UserId{static_cast<std::uint32_t>(rng() % kUsers)},
+                          market::AppId{static_cast<std::uint32_t>(rng() % kApps)},
+                          kFirstDay + static_cast<market::Day>(rng() % days));
+  }
+
+  [[nodiscard]] static bool passes(const market::AppStore& store, const query::Expr& expr,
+                                   std::uint32_t user, std::uint32_t app, market::Day day) {
+    const auto child_passes = [&](const query::Expr& child) {
+      return passes(store, child, user, app, day);
+    };
+    switch (expr.kind) {
+      case query::Expr::Kind::kAnd:
+        return std::all_of(expr.children.begin(), expr.children.end(), child_passes);
+      case query::Expr::Kind::kOr:
+        return std::any_of(expr.children.begin(), expr.children.end(), child_passes);
+      case query::Expr::Kind::kComparison:
+        break;
+    }
+    const query::Comparison& clause = expr.comparison;
+    double value = 0.0;
+    switch (clause.field) {
+      case query::Field::kDay: value = day; break;
+      case query::Field::kUser: value = user; break;
+      case query::Field::kApp: value = app; break;
+      case query::Field::kCategory:
+        value = static_cast<double>(store.app(market::AppId{app}).category.index());
+        break;
+      case query::Field::kPrice: value = store.average_price_dollars(market::AppId{app}); break;
+      case query::Field::kStore:
+        return (clause.text == store.name()) == (clause.op == query::CompareOp::kEq);
+    }
+    return reference_compare(clause.op, value, clause.number);
+  }
+
+  /// Per-app downloads among the log's first `rows` rows that pass `filter`
+  /// (null = every row) on days up to `day`.
+  [[nodiscard]] static std::vector<std::uint64_t> reference_counts(
+      const market::AppStore& store, const query::Expr* filter, market::Day day,
+      std::uint64_t rows) {
+    const events::FrontierSnapshot log = store.download_log();
+    std::vector<std::uint64_t> counts(store.apps().size(), 0);
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      const market::Day row_day = log.day()[row];
+      const std::uint32_t app = log.app()[row];
+      if (row_day > day) continue;
+      if (filter != nullptr && !passes(store, *filter, log.user()[row], app, row_day)) continue;
+      ++counts[app];
+    }
+    return counts;
+  }
+
+  [[nodiscard]] static std::vector<std::pair<std::uint32_t, std::uint32_t>> nonzero(
+      const std::vector<std::uint64_t>& counts) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::size_t app = 0; app < counts.size(); ++app) {
+      if (counts[app] != 0) {
+        pairs.emplace_back(static_cast<std::uint32_t>(app),
+                           static_cast<std::uint32_t>(counts[app]));
+      }
+    }
+    return pairs;
+  }
+
+  /// run_partial() and run() of `spec` at `day`, each against the per-row
+  /// count over the rows it reports.
+  static void expect_reference(const query::QueryEngine& engine, const market::AppStore& store,
+                               const query::QuerySpec& spec, market::Day day,
+                               const std::string& context) {
+    const query::Expr* filter = spec.filter.has_value() ? &*spec.filter : nullptr;
+    const query::PartialAggregate partial = engine.run_partial(spec, day);
+    const std::vector<std::uint64_t> counts =
+        reference_counts(store, filter, day, partial.rows_total);
+    EXPECT_EQ(partial.app_count, counts.size()) << context;
+    EXPECT_EQ(partial.counts, nonzero(counts)) << context;
+    EXPECT_EQ(partial.rows_selected, std::accumulate(counts.begin(), counts.end(), 0ull))
+        << context;
+
+    const query::QueryResult got = engine.run(spec, day);
+    query::QueryResult want;
+    query::finalize_downloads(spec, reference_counts(store, filter, day, got.rows_total), want);
+    EXPECT_EQ(got.total_downloads, want.total_downloads) << context;
+    EXPECT_EQ(got.rows_selected, want.rows_selected) << context;
+    ASSERT_EQ(got.top.size(), want.top.size()) << context;
+    for (std::size_t i = 0; i < got.top.size(); ++i) {
+      EXPECT_EQ(got.top[i].app, want.top[i].app) << context;
+      EXPECT_EQ(got.top[i].downloads, want.top[i].downloads) << context;
+    }
+    ASSERT_EQ(got.pareto.size(), want.pareto.size()) << context;
+    for (std::size_t i = 0; i < got.pareto.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.pareto[i].share),
+                std::bit_cast<std::uint64_t>(want.pareto[i].share))
+          << context;
+    }
+    ASSERT_EQ(got.curve.size(), want.curve.size()) << context;
+    for (std::size_t i = 0; i < got.curve.size(); ++i) {
+      EXPECT_EQ(got.curve[i].rank, want.curve[i].rank) << context;
+      EXPECT_EQ(got.curve[i].downloads, want.curve[i].downloads) << context;
+    }
+  }
+
+  /// A conjunction of one to three leaves over day (every operator, with
+  /// literals below, inside and past the log's days), category, price and
+  /// app; counts the leaves and whether one is `day != D`.
+  [[nodiscard]] static std::string random_conjunction(std::mt19937_64& rng,
+                                                      std::uint32_t& leaves,
+                                                      bool& day_not_equal) {
+    constexpr std::string_view kOps[] = {"==", "!=", "<", "<=", ">", ">="};
+    leaves = 1 + static_cast<std::uint32_t>(rng() % 3);
+    day_not_equal = false;
+    std::string text;
+    for (std::uint32_t i = 0; i < leaves; ++i) {
+      if (i > 0) text += " and ";
+      const std::string_view op = kOps[rng() % std::size(kOps)];
+      switch (rng() % 4) {
+        case 0:
+          day_not_equal = day_not_equal || op == "!=";
+          text += util::format("day {} {}", op, static_cast<int>(rng() % 32) - 6);
+          break;
+        case 1:
+          text += util::format("category {} {}", kOps[rng() % 2], rng() % kCategories);
+          break;
+        case 2:
+          text += util::format("price {} {:.2f}", op,
+                               static_cast<double>(rng() % 600) / 100.0 - 0.5);
+          break;
+        default:
+          text += util::format("app {} {}", op, rng() % (kApps + 4));
+          break;
+      }
+    }
+    return text;
+  }
+
+  std::unique_ptr<market::AppStore> store_;
+};
+
+TEST_F(DownloadTableFixture, AnswersEqualAPerRowCount) {
+  const query::QueryEngine engine(*store_, {});
+  constexpr query::AggregateKind kKinds[] = {query::AggregateKind::kTopKDownloads,
+                                             query::AggregateKind::kParetoShare,
+                                             query::AggregateKind::kRankDownloadCurve};
+  constexpr market::Day kBounds[] = {-5, -1, 0, 7, kLastDay, 25, kEnd};
+  std::mt19937_64 rng(7);
+  int from_table = 0;
+  for (int i = 0; i < 150; ++i) {
+    query::QuerySpec spec;
+    spec.kind = kKinds[i % std::size(kKinds)];
+    spec.k = 6;
+    spec.points = 7;
+    std::uint32_t leaves = 0;
+    bool day_not_equal = false;
+    std::string text = "(none)";
+    if (i >= static_cast<int>(std::size(kKinds))) {  // the first of each kind is kAll
+      text = random_conjunction(rng, leaves, day_not_equal);
+      spec.filter = query::parse_filter(text);
+    }
+    for (const market::Day day : kBounds) {
+      expect_reference(engine, *store_, spec, day,
+                       util::format("{} {} at day {}", query::to_string(spec.kind), text, day));
+    }
+    const query::QueryResult result = engine.run(spec, kLastDay);
+    if (day_not_equal) {
+      EXPECT_EQ(result.table_lookups, 0u) << text;
+      EXPECT_EQ(result.column_scans + result.residual_filters, leaves) << text;
+    } else {
+      EXPECT_EQ(result.table_lookups, leaves) << text;
+      EXPECT_EQ(result.column_scans + result.residual_filters, 0u) << text;
+      ++from_table;
+    }
+  }
+  EXPECT_GT(from_table, 90);
+}
+
+TEST_F(DownloadTableFixture, RowsAppendedAfterABuildAreCounted) {
+  const query::QueryEngine engine(*store_, {});
+  query::QuerySpec all;
+  all.k = kApps;
+  query::QuerySpec ranged = all;
+  ranged.filter = query::parse_filter("day >= 3 and price < 2");
+  expect_reference(engine, *store_, all, kEnd, "before");
+  expect_reference(engine, *store_, ranged, kEnd, "before");
+  const std::uint64_t rows = store_->download_log().size();
+
+  store_->record_download(market::UserId{1}, market::AppId{0}, 5);
+  EXPECT_EQ(engine.run(all, kEnd).total_downloads, rows + 1);
+  expect_reference(engine, *store_, ranged, kEnd, "after one download");
+
+  events::EventLog batch(events::Columns::kDay);
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 50; ++i) {
+    batch.append(static_cast<std::uint32_t>(rng() % kUsers),
+                 static_cast<std::uint32_t>(rng() % kApps),
+                 3 + static_cast<market::Day>(rng() % 8));
+  }
+  store_->ingest_downloads(batch);
+  EXPECT_EQ(engine.run(all, kEnd).total_downloads, rows + 51);
+  expect_reference(engine, *store_, all, kEnd, "after a batch");
+  expect_reference(engine, *store_, ranged, kEnd, "after a batch");
+}
+
+TEST_F(DownloadTableFixture, AnAdoptedLogIsNotAnsweredFromTheOldTable) {
+  const query::QueryEngine engine(*store_, {});
+  query::QuerySpec all;
+  all.k = kApps;
+  (void)engine.run(all, kEnd);  // builds the table of the current log
+  const std::uint64_t rows = store_->download_log().size();
+
+  // The same number of rows, every one of them a download of app 0.
+  auto downloads = std::make_unique<events::LiveEventLog>(events::Columns::kDay |
+                                                          events::Columns::kOrdinal);
+  for (std::uint64_t row = 0; row < rows; ++row) {
+    (void)downloads->append(static_cast<std::uint32_t>(row % kUsers), 0, 0);
+  }
+  store_->adopt_event_logs(std::move(downloads),
+                           std::make_unique<events::LiveEventLog>(
+                               events::Columns::kDay | events::Columns::kOrdinal |
+                               events::Columns::kRating));
+  const query::QueryResult result = engine.run(all, kEnd);
+  ASSERT_EQ(result.top.size(), 1u);
+  EXPECT_EQ(result.top[0].app, 0u);
+  EXPECT_EQ(result.top[0].downloads, rows);
+}
+
+TEST_F(DownloadTableFixture, DaysSpreadPastTheSizeRuleAreScanned) {
+  // 200 rows over days -1..4999: 5,001 days x 37 apps is past 4 x 200 cells.
+  const std::unique_ptr<market::AppStore> spread = make_store(200, 4999, 5);
+  const query::QueryEngine engine(*spread, {});
+  query::QuerySpec spec;
+  spec.k = kApps;
+  spec.filter = query::parse_filter("day <= 2500 and category == 1");
+  const query::QueryResult result = engine.run(spec, kEnd);
+  EXPECT_EQ(result.table_lookups, 0u);
+  EXPECT_EQ(result.column_scans + result.residual_filters, 2u);
+  for (const market::Day day : {-1, 1000, 4999, kEnd}) {
+    expect_reference(engine, *spread, spec, day, util::format("spread at day {}", day));
+  }
+  spec.filter.reset();
+  expect_reference(engine, *spread, spec, kEnd, "spread, unfiltered");
+}
+
+TEST_F(DownloadTableFixture, ConcurrentAppendsAndQueriesMatchTheirFrontier) {
+  // One appender and two query threads: each answer counts exactly the
+  // rows of the frontier it reports, whichever table it was read from. The
+  // appender waits for an answer from each reader after every step, so
+  // every reader meets many frontiers while rows keep arriving.
+  const query::QueryEngine engine(*store_, {});
+  std::atomic<bool> done{false};
+  std::array<std::atomic<int>, 2> answers{};
+  std::atomic<int> mismatches{0};
+  std::thread appender([&] {
+    std::mt19937_64 rng(3);
+    for (int step = 0; step < 100; ++step) {
+      for (int i = 0; i < 30; ++i) record(*store_, rng, kLastDay);
+      const int first = answers[0].load();
+      const int second = answers[1].load();
+      while (answers[0].load() == first || answers[1].load() == second) {
+        std::this_thread::yield();
+      }
+    }
+    done.store(true);
+  });
+  const auto reader = [&](std::size_t id, std::optional<query::Expr> filter) {
+    query::QuerySpec spec;
+    spec.filter = std::move(filter);
+    const query::Expr* expr = spec.filter.has_value() ? &*spec.filter : nullptr;
+    while (!done.load()) {
+      const query::PartialAggregate partial = engine.run_partial(spec, kLastDay);
+      if (partial.counts != nonzero(reference_counts(*store_, expr, kLastDay,
+                                                     partial.rows_total))) {
+        mismatches.fetch_add(1);
+      }
+      answers[id].fetch_add(1);
+    }
+  };
+  std::thread all(reader, 0, std::nullopt);
+  std::thread ranged(reader, 1, query::parse_filter("day >= 2 and category != 3"));
+  appender.join();
+  all.join();
+  ranged.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(answers[0].load(), 100);
+  EXPECT_GE(answers[1].load(), 100);
 }
 
 TEST(QueryFinalize, TopKEqualsTheFullSortUnderTies) {
@@ -915,8 +1257,9 @@ TEST_F(ServiceQueryFixture, ServesAllFourKindsMatchingTheEngine) {
     const query::QueryResult expected =
         engine.run(crawlersim::parse_query_request(request), 60);
     EXPECT_EQ(parsed->at("kind").as_string(), query::to_string(expected.kind));
-    EXPECT_EQ(parsed->at("day").as_u64(), 60u);
-    EXPECT_EQ(parsed->at("rows_selected").as_u64(), expected.rows_selected);
+    EXPECT_EQ(parsed->at("day").as_integer<std::uint64_t>().value(), 60u);
+    EXPECT_EQ(parsed->at("rows_selected").as_integer<std::uint64_t>().value(),
+              expected.rows_selected);
     ASSERT_NE(parsed->find("plan"), nullptr);
   }
 
@@ -929,8 +1272,9 @@ TEST_F(ServiceQueryFixture, ServesAllFourKindsMatchingTheEngine) {
   const auto& top = parsed->at("top").as_array();
   ASSERT_EQ(top.size(), expected.top.size());
   for (std::size_t i = 0; i < top.size(); ++i) {
-    EXPECT_EQ(top[i].at("app").as_u64(), expected.top[i].app);
-    EXPECT_EQ(top[i].at("downloads").as_u64(), expected.top[i].downloads);
+    EXPECT_EQ(top[i].at("app").as_integer<std::uint64_t>().value(), expected.top[i].app);
+    EXPECT_EQ(top[i].at("downloads").as_integer<std::uint64_t>().value(),
+              expected.top[i].downloads);
   }
 }
 
@@ -1050,6 +1394,33 @@ TEST_F(ServiceQueryFixture, QueryResponsesAreCachedPerDay) {
 }
 
 // ---- load-generator query mix ----------------------------------------------------
+
+TEST_F(ServiceQueryFixture, RowsScannedCountsEveryRowTheEngineReads) {
+  const auto scanned = [&] {
+    return service_->metrics().snapshot().find_counter("query_rows_scanned_total")->value;
+  };
+  const auto delta = [&](const std::string& target) {
+    const std::uint64_t before = scanned();
+    const net::HttpResponse response = get(target);
+    EXPECT_EQ(response.status, 200) << target << ": " << response.body;
+    return scanned() - before;
+  };
+  const market::AppStore& store = *generated_->store;
+  const std::uint64_t rows = store.download_log().size();
+  // The first store-wide download query builds the table: every row, once.
+  EXPECT_EQ(delta("/api/v1/query?kind=pareto_share&filter=day<=40"), rows);
+  // Further ones at that frontier read no row.
+  EXPECT_EQ(delta("/api/v1/query?kind=top_k_downloads&filter=category==3"), 0u);
+  EXPECT_EQ(delta("/api/v1/query?kind=rank_download_curve"), 0u);
+  EXPECT_EQ(delta("/api/v1/query?kind=top_k_downloads&filter=price>1+and+day>=10"), 0u);
+  // `day != D` scans the column; `user == K` reads K's rows off the index.
+  EXPECT_EQ(delta("/api/v1/query?kind=top_k_downloads&filter=day!=40"), rows);
+  EXPECT_EQ(delta("/api/v1/query?kind=pareto_share&filter=user==7"),
+            store.download_log().stream_size(7));
+  // A new row moves the frontier: the next table counts every row again.
+  generated_->store->record_download(market::UserId{7}, market::AppId{0}, 30);
+  EXPECT_EQ(delta("/api/v1/query?kind=top_k_downloads&filter=category==3"), rows + 1);
+}
 
 TEST(LoadQueryMix, ScheduleRotatesQueryKindsDeterministically) {
   load::ScheduleOptions options;

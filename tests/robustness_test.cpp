@@ -15,6 +15,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/clock.hpp"
 #include "chaos/fault.hpp"
@@ -22,12 +25,15 @@
 #include "crawler/crawler.hpp"
 #include "crawler/database.hpp"
 #include "crawler/db_io.hpp"
+#include "crawler/json.hpp"
+#include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
 #include "events/binary.hpp"
 #include "events/live_io.hpp"
 #include "net/breaker.hpp"
 #include "net/proxy.hpp"
 #include "obs/registry.hpp"
+#include "query/expression.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -508,6 +514,116 @@ TEST(CorruptionFuzz, ObservationsLoaderSurvives500SeededCorruptions) {
   }
   EXPECT_EQ(clean + typed + rejected, 500u);
   EXPECT_GT(typed, 0u);
+}
+
+
+// ---- JSON numbers that must be integers fail closed ---------------------------
+
+/// -1, a fraction, a double far past every integer type, and 2^64: each is
+/// outside the range of (or not) an unsigned integer member.
+constexpr std::string_view kBadIntegers[] = {"-1", "2.5", "1e300", "18446744073709551616"};
+
+/// `text` with every `<name>` marker replaced by `values[name]`.
+[[nodiscard]] std::string fill(std::string text,
+                               const std::vector<std::pair<std::string, std::string>>& values) {
+  for (const auto& [name, value] : values) {
+    const std::string marker = "<" + name + ">";
+    for (std::size_t at = text.find(marker); at != std::string::npos; at = text.find(marker)) {
+      text.replace(at, marker.size(), value);
+    }
+  }
+  return text;
+}
+
+TEST(JsonIntegers, CheckedReadAcceptsOnlyIntegersInRange) {
+  const auto read = [](std::string_view text) { return *crawlersim::parse_json(text); };
+  EXPECT_EQ(read("7").as_integer<std::uint32_t>(), 7u);
+  EXPECT_EQ(read("-1").as_integer<std::int32_t>(), -1);
+  EXPECT_EQ(read("4294967295").as_integer<std::uint32_t>(), 4294967295u);
+  EXPECT_EQ(read("-2147483648").as_integer<std::int32_t>(), -2147483648);
+  EXPECT_FALSE(read("4294967296").as_integer<std::uint32_t>().has_value());
+  EXPECT_FALSE(read("2147483648").as_integer<std::int32_t>().has_value());
+  EXPECT_FALSE(read("\"7\"").as_integer<std::uint32_t>().has_value());
+  for (const std::string_view bad : kBadIntegers) {
+    EXPECT_FALSE(read(bad).as_integer<std::uint64_t>().has_value()) << bad;
+  }
+  EXPECT_FALSE(read("1e300").as_integer<std::int64_t>().has_value());
+  EXPECT_FALSE(read("2.5").as_integer<std::int32_t>().has_value());
+}
+
+TEST_F(RobustnessFixture, QueryBodyIntegersOutsideTheirRangeAre400) {
+  crawlersim::ServicePolicy policy;
+  policy.rate_per_second = 1e6;
+  policy.burst = 1e6;
+  crawlersim::AppstoreService service(*generated_->store, policy);
+  service.set_day(60);
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"k", R"({"kind": "top_k_downloads", "k": <value>})"},
+      {"points", R"({"kind": "rank_download_curve", "points": <value>})"},
+      {"min_samples", R"({"kind": "category_affinity", "min_samples": <value>})"},
+      {"depths", R"({"kind": "category_affinity", "depths": [1, <value>]})"},
+  };
+  for (const auto& [member, body] : bodies) {
+    for (const std::string_view value : kBadIntegers) {
+      net::HttpRequest request;
+      request.method = "POST";
+      request.target = "/api/v1/query";
+      request.body = fill(body, {{"value", std::string(value)}});
+      request.headers["X-Client-Id"] = "proxy-eu-1";
+      const net::HttpResponse response = service.respond(request);
+      EXPECT_EQ(response.status, 400) << request.body;
+      EXPECT_NE(response.body.find("bad_query"), std::string::npos) << response.body;
+    }
+  }
+}
+
+TEST(JsonIntegers, PartialIntegersOutsideTheirRangeAreBadPartials) {
+  const std::string downloads =
+      R"({"kind": "top_k_downloads", "day": <day>, "partial": true,)"
+      R"( "plan": {"index_scans": <index_scans>, "column_scans": <column_scans>,)"
+      R"( "residual_filters": <residual_filters>, "table_lookups": <table_lookups>},)"
+      R"( "rows_total": <rows_total>, "rows_selected": <rows_selected>,)"
+      R"( "app_count": <app_count>, "counts": [[<app>, <count>]]})";
+  const std::string affinity =
+      R"({"kind": "category_affinity", "day": <day>, "partial": true,)"
+      R"( "rows_total": <rows_total>, "rows_selected": <rows_selected>,)"
+      R"( "random_walk": [0.5], "samples": [[<user>, <comments>, 0.25]]})";
+  const std::vector<std::pair<std::string, std::string>> valid = {
+      {"day", "60"},          {"index_scans", "0"},   {"column_scans", "1"},
+      {"residual_filters", "0"}, {"table_lookups", "2"}, {"rows_total", "10"},
+      {"rows_selected", "3"}, {"app_count", "5"},     {"app", "4"},
+      {"count", "3"},         {"user", "9"},          {"comments", "2"},
+  };
+  const auto decode = [](const std::string& text) {
+    return crawlersim::partial_from_json(*crawlersim::parse_json(text));
+  };
+  EXPECT_EQ(decode(fill(downloads, valid)).table_lookups, 2u);
+  EXPECT_EQ(decode(fill(affinity, valid)).samples.at(0).user, 9u);
+
+  std::size_t rejected = 0;
+  for (const std::string& document : {downloads, affinity}) {
+    for (const auto& [member, _] : valid) {
+      if (document.find("<" + member + ">") == std::string::npos) continue;
+      for (const std::string_view bad : kBadIntegers) {
+        std::vector<std::pair<std::string, std::string>> values = {{member, std::string(bad)}};
+        values.insert(values.end(), valid.begin(), valid.end());
+        const std::string text = fill(document, values);
+        if (member == "day" && bad == "-1") {
+          EXPECT_EQ(decode(text).day, -1);  // a signed member: day -1 is history
+          continue;
+        }
+        try {
+          (void)decode(text);
+          ADD_FAILURE() << "accepted " << text;
+        } catch (const query::QueryError& error) {
+          EXPECT_EQ(error.code(), "bad_partial") << text;
+          ++rejected;
+        }
+      }
+    }
+  }
+  // 10 download members and 5 affinity members, 4 values each, less day -1 twice.
+  EXPECT_EQ(rejected, (10 + 5) * 4 - 2);
 }
 
 }  // namespace

@@ -217,8 +217,9 @@ TEST_F(ResponseCacheTest, InvalidatedAcrossAdvanceDay) {
   const auto parsed0 = crawlersim::parse_json(day0.body);
   const auto parsed60 = crawlersim::parse_json(day60.body);
   ASSERT_TRUE(parsed0.has_value() && parsed60.has_value());
-  EXPECT_EQ(parsed60->at("day").as_u64(), 60u);
-  EXPECT_GT(parsed60->at("total_apps").as_u64(), parsed0->at("total_apps").as_u64());
+  EXPECT_EQ(parsed60->at("day").as_integer<std::uint64_t>().value(), 60u);
+  EXPECT_GT(parsed60->at("total_apps").as_integer<std::uint64_t>().value(),
+            parsed0->at("total_apps").as_integer<std::uint64_t>().value());
 
   // Directory pages are cached per (target, day) too.
   const auto apps_first = client.get("/api/v1/apps?page=0&per_page=50", headers);
