@@ -39,6 +39,10 @@ constexpr std::string_view kOutcomeLabels[6] = {"ok",        "http_4xx",     "ht
 /// at capacity the map is cleared and starts over.
 constexpr std::size_t kMaxCachedAnswers = 4096;
 
+/// Calls one shard may have in flight; a call past it is shed (503
+/// admission_shed) before it reaches the breaker.
+constexpr std::size_t kMaxInFlightPerShard = 256;
+
 /// The answer-cache key: the target, plus '\n' + body for a POST (the key
 /// the shard services' response caches use).
 [[nodiscard]] std::string answer_key(const net::HttpRequest& request) {
@@ -50,19 +54,10 @@ constexpr std::size_t kMaxCachedAnswers = 4096;
   return key;
 }
 
-[[nodiscard]] net::UpstreamTable::Options table_options(const GatewayOptions& options) {
-  net::UpstreamTable::Options table;
-  table.breaker = options.breaker;
-  if (table.breaker.clock == nullptr) table.breaker.clock = options.clock;
-  table.max_keys = options.max_upstream_keys;
-  table.clock = options.clock;
-  return table;
-}
-
 }  // namespace
 
 FederationGateway::FederationGateway(GatewayOptions options)
-    : options_(std::move(options)), ring_(options_.ring), breakers_(table_options(options_)) {
+    : options_(std::move(options)), ring_(options_.ring) {
   registry_.describe("gateway_requests_total", "Gateway responses by outcome");
   registry_.describe("gateway_upstream_calls_total", "Shard calls attempted");
   registry_.describe("gateway_answer_cache_total",
@@ -88,13 +83,9 @@ void FederationGateway::add_upstream(const std::string& id, std::shared_ptr<Shar
       return;
     }
   }
-  auto upstream = std::make_unique<Upstream>();
-  upstream->id = id;
-  upstream->shard = std::move(shard);
-  net::AdmissionOptions admission = options_.admission;
-  if (admission.clock == nullptr) admission.clock = options_.clock;
-  upstream->admission = std::make_unique<net::AdmissionController>(admission);
-  upstreams_.push_back(std::move(upstream));
+  net::CircuitBreaker::Options breaker = options_.breaker;
+  if (breaker.clock == nullptr) breaker.clock = options_.clock;
+  upstreams_.push_back(std::make_unique<Upstream>(id, std::move(shard), breaker));
   ring_.add(id);
 }
 
@@ -105,15 +96,7 @@ bool FederationGateway::remove_upstream(const std::string& id) {
   if (it == upstreams_.end()) return false;
   upstreams_.erase(it);
   ring_.remove(id);
-  breakers_.forget(id);
   return true;
-}
-
-FederationGateway::Upstream* FederationGateway::find_upstream(const std::string& id) noexcept {
-  for (auto& upstream : upstreams_) {
-    if (upstream->id == id) return upstream.get();
-  }
-  return nullptr;
 }
 
 GatewayStats FederationGateway::stats() const {
@@ -182,18 +165,15 @@ template <class Answer, class Exchange>
 FederationGateway::CallResult<Answer> FederationGateway::call_upstream(Upstream& upstream,
                                                                        Exchange&& exchange) {
   CallResult<Answer> result;
-  const std::size_t depth = upstream.in_flight.load(std::memory_order_relaxed);
-  if (upstream.admission->admit(depth) != net::AdmissionDecision::kAdmit) {
+  if (upstream.in_flight.load(std::memory_order_relaxed) >= kMaxInFlightPerShard) {
     result.status = CallStatus::kShed;
     return result;
   }
-  const auto breaker = breakers_.breaker(upstream.id);
-  if (!breaker->allow()) {
+  if (!upstream.breaker.allow()) {
     result.status = CallStatus::kBreakerOpen;
     return result;
   }
   upstream.in_flight.fetch_add(1, std::memory_order_acq_rel);
-  const auto start = chaos::now_or_real(options_.clock);
   bool transport = false;
   chaos::Fault fault;
   if (options_.faults != nullptr) {
@@ -225,11 +205,10 @@ FederationGateway::CallResult<Answer> FederationGateway::call_upstream(Upstream&
       break;
   }
   upstream.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-  upstream.admission->observe(chaos::now_or_real(options_.clock) - start);
   if (transport || refusal_of(result.answer).status >= 500) {
-    (void)breaker->record_failure();
+    (void)upstream.breaker.record_failure();
   } else {
-    breaker->record_success();
+    upstream.breaker.record_success();
   }
   upstream_calls_->inc();
   result.status = transport ? CallStatus::kTransport : CallStatus::kOk;
@@ -306,13 +285,9 @@ std::optional<FederationGateway::Routed> FederationGateway::scatter_error(
 
 FederationGateway::Routed FederationGateway::route_single(const net::HttpRequest& request,
                                                           std::uint64_t ring_key) {
-  Upstream* upstream = find_upstream(ring_.owner(ring_key));
-  if (upstream == nullptr) {
-    return {error_response(503, "no_upstreams", "ring owner not registered"),
-            Outcome::kShed};
-  }
+  Upstream& owner = *upstreams_[ring_.owner_index(ring_key)];
   CallResult<net::HttpResponse> result = call_upstream<net::HttpResponse>(
-      *upstream, [&](Shard& shard) { return shard.respond(request); });
+      owner, [&](Shard& shard) { return shard.respond(request); });
   if (result.status != CallStatus::kOk) return unanswered(result.status);
   return classify(std::move(result.answer));
 }

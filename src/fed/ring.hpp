@@ -17,7 +17,7 @@
 //
 // Deterministic: same (seed, vnodes, member set) => same ownership on every
 // platform, independent of insertion order. Not thread-safe; the gateway
-// guards it with its upstream-table lock.
+// guards it with its membership lock.
 #pragma once
 
 #include <cstddef>

@@ -18,7 +18,6 @@ std::string_view to_string(AdmissionMode mode) noexcept {
   switch (mode) {
     case AdmissionMode::kFixed: return "fixed";
     case AdmissionMode::kQueueDelay: return "queue_delay";
-    case AdmissionMode::kGradient: return "gradient";
   }
   return "?";
 }
@@ -67,12 +66,11 @@ void AdmissionController::observe(std::chrono::nanoseconds queue_wait) {
   // delays smoothing by one sample.
   const std::int64_t ewma = ewma_wait_ns_.load(std::memory_order_relaxed);
   ewma_wait_ns_.store(ewma + (wait_ns - ewma) / 8, std::memory_order_relaxed);
-  // Only an adaptive mode's interval roll reads the accumulators.
+  // Only kQueueDelay's interval roll reads the accumulators.
   if (options_.mode == AdmissionMode::kFixed) return;
   {
     const std::lock_guard lock(mutex_);
     if (interval_min_ns_ < 0 || wait_ns < interval_min_ns_) interval_min_ns_ = wait_ns;
-    interval_sum_ns_ += wait_ns;
     ++interval_samples_;
   }
   maybe_roll(chaos::now_or_real(options_.clock));
@@ -88,22 +86,18 @@ void AdmissionController::maybe_roll(std::chrono::steady_clock::time_point now) 
     return;
   }
   std::int64_t min_ns = -1;
-  std::int64_t sum_ns = 0;
   std::uint64_t samples = 0;
   {
     const std::lock_guard lock(mutex_);
     min_ns = interval_min_ns_;
-    sum_ns = interval_sum_ns_;
     samples = interval_samples_;
     interval_min_ns_ = -1;
-    interval_sum_ns_ = 0;
     interval_samples_ = 0;
   }
-  apply_update(min_ns, sum_ns, samples);
+  apply_update(min_ns, samples);
 }
 
-void AdmissionController::apply_update(std::int64_t min_wait_ns, std::int64_t sum_wait_ns,
-                                       std::uint64_t samples) {
+void AdmissionController::apply_update(std::int64_t min_wait_ns, std::uint64_t samples) {
   const std::size_t current = limit_.load(std::memory_order_relaxed);
   const auto grown = [&]() noexcept {
     return std::min(options_.limit_ceiling, current + increase_step_);
@@ -115,32 +109,15 @@ void AdmissionController::apply_update(std::int64_t min_wait_ns, std::int64_t su
     publish_limit(grown());
     return;
   }
-  switch (options_.mode) {
-    case AdmissionMode::kQueueDelay: {
-      // CoDel reading: the interval *minimum* above target means a standing
-      // queue (every request waited too long, not just an unlucky burst).
-      if (min_wait_ns > target_ns) {
-        const auto cut = static_cast<std::size_t>(
-            std::floor(static_cast<double>(current) * options_.decrease));
-        publish_limit(std::max(options_.min_limit, cut));
-      } else {
-        publish_limit(grown());
-      }
-      break;
-    }
-    case AdmissionMode::kGradient: {
-      const double avg_ns = static_cast<double>(sum_wait_ns) /
-                            static_cast<double>(samples);
-      const double gradient = std::clamp(
-          static_cast<double>(target_ns) / std::max(avg_ns, 1.0), 0.5, 2.0);
-      const double next = gradient * static_cast<double>(current) +
-                          std::sqrt(static_cast<double>(current));
-      publish_limit(std::clamp(static_cast<std::size_t>(next), options_.min_limit,
-                               options_.limit_ceiling));
-      break;
-    }
-    case AdmissionMode::kFixed:
-      break;  // unreachable: kFixed never rolls an interval
+  // kQueueDelay (kFixed never rolls an interval). CoDel reading: the
+  // interval *minimum* above target means a standing queue (every request
+  // waited too long, not just an unlucky burst).
+  if (min_wait_ns > target_ns) {
+    const auto cut = static_cast<std::size_t>(
+        std::floor(static_cast<double>(current) * options_.decrease));
+    publish_limit(std::max(options_.min_limit, cut));
+  } else {
+    publish_limit(grown());
   }
 }
 

@@ -5,18 +5,13 @@
 // delay, so p99 latency collapses long before the 503s start. The
 // AdmissionController replaces that cliff with a latency-target policy:
 //
-//   * kQueueDelay (CoDel-style, the primary mode): the controller tracks the
+//   * kQueueDelay (CoDel-style, the adaptive mode): the controller tracks the
 //     *minimum* queue wait observed over each control interval. A minimum
 //     above the target delay means even the luckiest request waited too long
 //     — the queue is standing, not bursting — so the admissible depth is cut
 //     multiplicatively. Intervals whose minimum is back under the target
 //     (or that saw no traffic) grow the limit additively back toward the
 //     configured ceiling: classic AIMD around the latency target.
-//   * kGradient: an alternative in the spirit of Netflix's concurrency-limits
-//     gradient algorithm — each interval scales the limit by
-//     clamp(target / avg_wait, 0.5, 2.0) plus a sqrt(limit) exploration
-//     headroom, converging to the depth whose average wait sits at the
-//     target.
 //   * kFixed reproduces the legacy behaviour bit-for-bit: admit everything
 //     below the ceiling, shed at the ceiling, never adapt. It is the default
 //     so existing servers are unchanged.
@@ -54,22 +49,21 @@ namespace appstore::net {
 
 enum class AdmissionMode : std::uint8_t {
   kFixed,       ///< legacy queue-capacity cliff (default; no adaptation)
-  kQueueDelay,  ///< CoDel-style AIMD on interval-min queue wait (primary)
-  kGradient,    ///< gradient concurrency limit on interval-avg queue wait
+  kQueueDelay,  ///< CoDel-style AIMD on interval-min queue wait
 };
 
-/// Metric/report label for a mode ("fixed", "queue_delay", "gradient").
+/// Metric/report label for a mode ("fixed", "queue_delay").
 [[nodiscard]] std::string_view to_string(AdmissionMode mode) noexcept;
 
 enum class AdmissionDecision : std::uint8_t {
   kAdmit,      ///< enqueue the connection
   kQueueFull,  ///< depth hit the hard ceiling (the legacy cliff)
-  kOverload,   ///< depth hit the adaptive limit (kQueueDelay/kGradient only)
+  kOverload,   ///< depth hit the adaptive limit (kQueueDelay only)
 };
 
 struct AdmissionOptions {
   AdmissionMode mode = AdmissionMode::kFixed;
-  /// Queue-delay SLO the adaptive modes steer toward.
+  /// Queue-delay SLO kQueueDelay steers toward.
   std::chrono::nanoseconds target_delay = std::chrono::milliseconds(5);
   /// Control interval: how often the limit is re-evaluated.
   std::chrono::nanoseconds interval = std::chrono::milliseconds(100);
@@ -102,7 +96,7 @@ class AdmissionController {
 
   /// Admission decision for a connection about to enter a queue currently
   /// `queue_depth` deep. kQueueFull at the hard ceiling in every mode;
-  /// kOverload at the adaptive limit in the adaptive modes (counted in
+  /// kOverload at the adaptive limit in kQueueDelay (counted in
   /// sheds()/admission_sheds_total). Also advances the control interval.
   [[nodiscard]] AdmissionDecision admit(std::size_t queue_depth);
 
@@ -130,8 +124,7 @@ class AdmissionController {
   /// Closes the current control interval and applies the mode's limit update
   /// if `now` passed the interval deadline.
   void maybe_roll(std::chrono::steady_clock::time_point now);
-  void apply_update(std::int64_t min_wait_ns, std::int64_t sum_wait_ns,
-                    std::uint64_t samples);
+  void apply_update(std::int64_t min_wait_ns, std::uint64_t samples);
   void publish_limit(std::size_t next) noexcept;
 
   AdmissionOptions options_;
@@ -145,7 +138,6 @@ class AdmissionController {
 
   std::mutex mutex_;  ///< guards the interval accumulators below
   std::int64_t interval_min_ns_ = -1;  ///< -1 = no samples this interval
-  std::int64_t interval_sum_ns_ = 0;
   std::uint64_t interval_samples_ = 0;
 
   obs::Gauge* limit_gauge_ = nullptr;

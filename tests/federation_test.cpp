@@ -13,8 +13,10 @@
 //     identical (EXPECT_EQ on the parsed doubles — the JSON number path
 //     round-trips exactly) to a single store holding the union of events,
 //     and land inside the same checked-in goldens golden_test pins.
-//   * net::UpstreamTable — the per-upstream breaker table stays bounded
-//     under membership churn (the TokenBucketLimiter eviction policy).
+//   * Per-member breakers — a failing shard among 1,101 members still trips
+//     its breaker; re-registering an id keeps its breaker, removing it
+//     drops the breaker; forwarded requests reach the ring owner after
+//     every add, re-registration and removal.
 //   * Typed shard calls — gateways over Federation::attach (ServiceShards)
 //     and over HTTP-only upstreams (HttpShards) answer byte-identical bodies
 //     for every app, comments page, directory page and parity query, and
@@ -31,17 +33,21 @@
 //     shard call still runs; after set_day and after a new download the
 //     next identical query answers a single store's payload.
 //   * A comments page whose first row overflows 64 bits is empty, and every
-//     registered metric family is a row of docs/observability.md.
+//     metric family the gateway, the shard services, a durable store, a
+//     parallel loop, a fault injector, a load run and a crawler day register
+//     is a row of docs/observability.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -49,9 +55,11 @@
 
 #include "chaos/clock.hpp"
 #include "chaos/fault.hpp"
+#include "crawler/crawler.hpp"
 #include "crawler/json.hpp"
 #include "crawler/query_json.hpp"
 #include "crawler/service.hpp"
+#include "events/event_log.hpp"
 #include "events/live_log.hpp"
 #include "fed/federation.hpp"
 #include "fed/gateway.hpp"
@@ -59,9 +67,10 @@
 #include "fed/shard.hpp"
 #include "load/harness.hpp"
 #include "load/workload.hpp"
+#include "market/durable.hpp"
 #include "net/http.hpp"
-#include "net/upstreams.hpp"
 #include "obs/registry.hpp"
+#include "par/parallel.hpp"
 #include "query/federate.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
@@ -193,57 +202,88 @@ TEST(HashRing, MembershipBasics) {
   EXPECT_TRUE(ring.empty());
 }
 
-// ---- bounded per-upstream breaker table ------------------------------------------
-
-TEST(UpstreamTable, StaysBoundedAndEvictsStalest) {
-  chaos::VirtualClock clock;
-  net::UpstreamTable::Options options;
-  options.max_keys = 16;
-  options.clock = &clock;
-  net::UpstreamTable table(options);
-
-  for (int i = 0; i < 64; ++i) {
-    clock.sleep_for(1ms);  // distinct last-used stamps
-    (void)table.breaker(util::format("upstream-{}", i));
-    EXPECT_LE(table.tracked_keys(), options.max_keys);
-  }
-  // 64 inserts through a 16-entry cap: at least 48 entries were evicted.
-  EXPECT_GE(table.evictions(), 48u);
-
-  // Same id -> same breaker object while tracked.
-  const auto first = table.breaker("stable");
-  EXPECT_EQ(first.get(), table.breaker("stable").get());
-
-  const auto tracked = table.tracked_keys();
-  const auto evicted = table.evictions();
-  table.forget("stable");
-  EXPECT_EQ(table.tracked_keys(), tracked - 1);
-  EXPECT_EQ(table.evictions(), evicted + 1);
-  table.forget("never-seen");  // no-op
-  EXPECT_EQ(table.evictions(), evicted + 1);
-}
+// ---- per-member breakers ---------------------------------------------------------
 
 /// An /api/v1/app/1 body an HttpShard decodes.
 constexpr std::string_view kAppBody =
     "{\"id\":1,\"name\":\"a\",\"category\":\"c\",\"developer\":\"d\",\"paid\":false,"
     "\"price\":0,\"downloads\":3,\"version\":1,\"has_ads\":false,\"released\":0}";
 
-TEST(UpstreamTable, GatewayBreakerStateBoundedUnderChurn) {
-  fed::GatewayOptions options;
-  options.max_upstream_keys = 8;
-  fed::FederationGateway gateway(options);
-  const auto body = net::HttpResponse::json(200, std::string(kAppBody));
-  for (int i = 0; i < 32; ++i) {
-    gateway.add_upstream(util::format("shard-{}", i),
-                         [body](const net::HttpRequest&) { return body; });
+/// An upstream exchange that answers every request 200 with `body`.
+[[nodiscard]] fed::FederationGateway::Call healthy_call(std::string_view body = "{}") {
+  return [response = net::HttpResponse::json(200, std::string(body))](
+             const net::HttpRequest&) { return response; };
+}
+
+/// An upstream exchange that fails below HTTP on every request.
+[[nodiscard]] fed::FederationGateway::Call dead_call() {
+  return [](const net::HttpRequest&) -> net::HttpResponse {
+    throw std::runtime_error("connection refused");
+  };
+}
+
+TEST(MemberBreakers, FailingShardAmongThousandsOfMembersTripsItsBreaker) {
+  // More members than a 1,024-entry breaker table holds. The dead shard
+  // joins first, so a table evicting its stalest entries would drop the dead
+  // shard's breaker during every scatter and it would never open.
+  constexpr std::uint64_t kHealthy = 1100;
+  fed::FederationGateway gateway;
+  gateway.add_upstream("shard-dead", dead_call());
+  for (std::uint64_t i = 0; i < kHealthy; ++i) {
+    gateway.add_upstream(util::format("shard-{}", i), healthy_call(kAppBody));
   }
-  // One scatter touches every upstream's breaker entry; the table must hold
-  // the cap even though 32 upstreams are live.
+  for (int i = 0; i < 5; ++i) {
+    const auto response = gateway.respond(get("/api/v1/app/1"));
+    EXPECT_EQ(response.status, 502) << response.body;
+  }
   const auto response = gateway.respond(get("/api/v1/app/1"));
-  EXPECT_EQ(response.status, 200);
-  EXPECT_LE(gateway.upstreams().tracked_keys(), options.max_upstream_keys);
-  EXPECT_GT(gateway.upstreams().evictions(), 0u);
-  expect_fully_accounted(gateway.stats());
+  EXPECT_EQ(response.status, 503);
+  EXPECT_NE(response.body.find("breaker_open"), std::string::npos) << response.body;
+
+  const auto stats = gateway.stats();
+  EXPECT_EQ(stats.transport, 5u);
+  EXPECT_EQ(stats.breaker_open, 1u);
+  // A scatter still calls every member whose breaker lets it through.
+  EXPECT_EQ(stats.upstream_calls, 5 * (kHealthy + 1) + kHealthy);
+  expect_fully_accounted(stats);
+}
+
+/// A gateway on `clock` whose shard-0 is dead until its breaker opens.
+[[nodiscard]] std::unique_ptr<fed::FederationGateway> tripped_gateway(
+    chaos::VirtualClock& clock) {
+  fed::GatewayOptions options;
+  options.clock = &clock;
+  auto gateway = std::make_unique<fed::FederationGateway>(options);
+  gateway->add_upstream("shard-0", dead_call());
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 502);
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 503);
+  return gateway;
+}
+
+TEST(MemberBreakers, ReRegisteringATrippedShardKeepsItsBreaker) {
+  chaos::VirtualClock clock;
+  const auto gateway = tripped_gateway(clock);
+  gateway->add_upstream("shard-0", healthy_call());
+  // The healthy replacement waits out the open breaker it inherited.
+  const auto open_timeout = gateway->options().breaker.open_timeout;
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 503);
+  clock.advance(open_timeout - 1ms);
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 503);
+  clock.advance(1ms);
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 200);  // the half-open probe
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 200);  // closed again
+  EXPECT_EQ(gateway->stats().breaker_open, 3u);
+  expect_fully_accounted(gateway->stats());
+}
+
+TEST(MemberBreakers, RemovingAShardDropsItsBreaker) {
+  chaos::VirtualClock clock;
+  const auto gateway = tripped_gateway(clock);
+  ASSERT_TRUE(gateway->remove_upstream("shard-0"));
+  gateway->add_upstream("shard-0", healthy_call());
+  EXPECT_EQ(gateway->respond(get("/api/v1/meta")).status, 200);
+  EXPECT_EQ(gateway->stats().breaker_open, 1u);
+  expect_fully_accounted(gateway->stats());
 }
 
 // ---- breaker on the virtual clock ------------------------------------------------
@@ -881,6 +921,49 @@ TEST(TypedShards, GatewayRoutesThroughTheRegisteredShard) {
   EXPECT_EQ(counter_value(service->metrics(), "service_response_cache_total", "hit"), hits + 1);
 }
 
+TEST(TypedShards, ForwardedRequestsReachTheRingOwnerThroughChurn) {
+  // A forwarded request goes to the member the ring names for its target,
+  // after every join, re-registration and removal.
+  const fed::Federation federation = small_federation(unlimited_policy(), 1);
+  crawlersim::AppstoreService& service = *federation.services.front();
+  fed::FederationGateway gateway;
+  std::map<std::string, std::shared_ptr<RecordingShard>> shards;
+  const auto join = [&](const std::string& id) {
+    shards[id] = std::make_shared<RecordingShard>(service);
+    gateway.add_upstream(id, shards[id]);
+  };
+  const auto leave = [&](const std::string& id) {
+    ASSERT_TRUE(gateway.remove_upstream(id));
+    shards.erase(id);
+  };
+  const auto expect_owners_answer = [&](const std::string& step) {
+    ASSERT_EQ(gateway.ring().size(), shards.size()) << step;
+    for (int k = 0; k < 64; ++k) {
+      const std::string target = util::format("/api/v1/meta?x={}", k);
+      const std::string owner = gateway.ring().owner(util::hash64(target));
+      for (const auto& entry : shards) entry.second->calls.clear();
+      ASSERT_EQ(gateway.respond(get(target)).status, 200) << step << " " << target;
+      for (const auto& [id, shard] : shards) {
+        EXPECT_EQ(shard->calls, id == owner ? std::vector<std::string>{"respond " + target}
+                                            : std::vector<std::string>{})
+            << step << " " << target << " " << id;
+      }
+    }
+  };
+  for (int i = 0; i < 6; ++i) join(util::format("shard-{}", i));
+  expect_owners_answer("six joins");
+  leave("shard-1");
+  leave("shard-4");
+  expect_owners_answer("two removals");
+  join("shard-6");
+  join("shard-1");
+  expect_owners_answer("a new member and a returning one");
+  join("shard-3");
+  expect_owners_answer("a re-registration");
+  leave("shard-0");
+  expect_owners_answer("the first member's removal");
+}
+
 TEST(TypedShards, UndecodableShardBodiesAre502) {
   for (const auto& [target, body] : std::vector<std::pair<std::string, std::string>>{
            {"/api/v1/query?kind=pareto_share", "{\"kind\": \"pareto_share\", \"partial\": true}"},
@@ -1448,9 +1531,9 @@ TEST(Gateway, CommentsPagesWhoseFirstRowOverflowsAreEmpty) {
 }
 
 TEST(Observability, EveryRegisteredFamilyIsDocumented) {
-  // Once every route has served a request, each family in the gateway's
-  // registry and in the shard services' registries must be a row of the
-  // docs' table.
+  // Each family registered by the gateway and the shard services (once every
+  // route has served a request), and by the layers that run outside a
+  // federation, must be a row of the docs' table.
   const fed::Federation federation = small_federation(unlimited_policy(), 2, true);
   fed::FederationGateway gateway;
   federation.attach(gateway);
@@ -1463,13 +1546,94 @@ TEST(Observability, EveryRegisteredFamilyIsDocumented) {
   }
   for (const net::HttpRequest& request : dashboard_requests()) (void)gateway.respond(request);
 
+  // A durable store's open -> ingest -> checkpoint -> reopen cycle.
+  obs::Registry durable_metrics;
+  {
+    const std::filesystem::path directory =
+        std::filesystem::temp_directory_path() / "appstore_federation_test_durable";
+    std::filesystem::remove_all(directory);
+    market::DurableOptions options;
+    options.live.max_rows = 1u << 12;
+    options.live.segment_rows = 1u << 8;
+    options.live.max_users = 8;
+    options.live.metrics = &durable_metrics;
+    options.fsync = false;
+    options.metrics = &durable_metrics;
+    for (int pass = 0; pass < 2; ++pass) {
+      market::DurableStore durable(directory, "docs", options);
+      (void)durable.open();
+      if (pass == 0) {
+        const market::CategoryId category = durable.add_category("games");
+        const market::DeveloperId developer = durable.add_developer("dev");
+        (void)durable.add_users(8);
+        const market::AppId app =
+            durable.add_app("app", developer, category, market::Pricing::kFree, 0, 0);
+        events::EventLog downloads(events::Columns::kDay);
+        downloads.append(1, app.value, 0);
+        durable.ingest_downloads(downloads);
+        (void)durable.checkpoint();
+        durable.set_has_ads(app, true);  // a WAL record for the reopen to replay
+      }
+      durable.close();
+    }
+    std::filesystem::remove_all(directory);
+  }
+
+  // A parallel loop.
+  obs::Registry par_metrics;
+  par::Options par_options;
+  par_options.threads = 2;
+  par_options.metrics = &par_metrics;
+  std::vector<std::uint64_t> squares(64);
+  par::parallel_for(squares.size(), par_options,
+                    [&](std::uint64_t i) { squares[i] = i * i; });
+
+  // A fault injector that injects once.
+  obs::Registry fault_metrics;
+  chaos::FaultPlan plan;
+  plan.rules.push_back({chaos::FaultSite::kExchange, chaos::FaultKind::kHttp500,
+                        /*probability=*/1.0, /*latency=*/0ms});
+  chaos::FaultInjector injector(plan, &fault_metrics);
+  EXPECT_EQ(injector.next(chaos::FaultSite::kExchange, "shard-0").kind,
+            chaos::FaultKind::kHttp500);
+
+  // One load run through the gateway.
+  obs::Registry load_metrics;
+  load::ScheduleOptions schedule_options;
+  schedule_options.clients = 1;
+  schedule_options.requests_per_client = 20;
+  schedule_options.mix.query_weight = 0.1;
+  schedule_options.mix.app_count = 100;
+  chaos::VirtualClock clock;
+  load::RunOptions run_options;
+  run_options.respond = [&gateway](const net::HttpRequest& request) {
+    return gateway.respond(request);
+  };
+  run_options.metrics = &load_metrics;
+  run_options.clock = &clock;
+  EXPECT_EQ(load::run(load::build_schedule(schedule_options), run_options).totals.issued, 20u);
+
+  // One crawler day over a shard service's socket.
+  obs::Registry crawler_metrics;
+  crawlersim::AppstoreService& shard = *federation.services.front();
+  crawlersim::CrawlDatabase database;
+  crawlersim::CrawlerOptions crawler_options;
+  crawler_options.port = shard.port();
+  crawler_options.metrics = &crawler_metrics;
+  crawlersim::Crawler crawler(crawler_options, database);
+  EXPECT_GT(crawler.crawl_day(shard.day()).apps_observed, 0u);
+
   const std::set<std::string> documented = documented_families();
   ASSERT_TRUE(documented.contains("service_requests_total")) << "docs table not found";
-  std::vector<const obs::Registry*> registries = {&gateway.metrics()};
+  std::vector<const obs::Registry*> registries = {&gateway.metrics(),   &durable_metrics,
+                                                  &par_metrics,         &fault_metrics,
+                                                  &load_metrics,        &crawler_metrics};
   for (const auto& service : federation.services) registries.push_back(&service->metrics());
+  std::set<std::string> registered;
   std::set<std::string> missing;
   const auto check = [&](const auto& samples) {
     for (const auto& sample : samples) {
+      registered.insert(sample.name);
       if (!documented.contains(sample.name)) missing.insert(sample.name);
     }
   };
@@ -1478,6 +1642,14 @@ TEST(Observability, EveryRegisteredFamilyIsDocumented) {
     check(snapshot.counters);
     check(snapshot.gauges);
     check(snapshot.histograms);
+  }
+  // Each layer above registered its families.
+  for (const std::string family :
+       {"gateway_requests_total", "wal_records_total", "wal_replayed_records_total",
+        "checkpoints_total", "live_events_appended_total", "par_tasks_total",
+        "faults_injected_total", "load_requests_total", "crawler_requests_total",
+        "trace_span_seconds"}) {
+    EXPECT_TRUE(registered.contains(family)) << family;
   }
   std::string list;
   for (const std::string& name : missing) list += " " + name;

@@ -387,8 +387,7 @@ TEST(AdmissionProperty, NeverShedsUnderTargetAndAlwaysRecovers) {
     util::Rng rng = util::rng::derive(0xad317, seed);
     chaos::VirtualClock clock;
     net::AdmissionOptions options;
-    options.mode = seed % 2 == 0 ? net::AdmissionMode::kQueueDelay
-                                 : net::AdmissionMode::kGradient;
+    options.mode = net::AdmissionMode::kQueueDelay;
     options.target_delay = std::chrono::microseconds(rng.range(500, 8000));
     options.interval = std::chrono::microseconds(rng.range(2000, 50000));
     options.limit_ceiling = static_cast<std::size_t>(rng.range(16, 256));
